@@ -54,10 +54,15 @@ def _open_input(path: str | None) -> TextIO:
 def _read_graphs(path: str | None) -> Iterator[Graph]:
     stream = _open_input(path)
     try:
-        for line in stream:
+        for lineno, line in enumerate(stream, start=1):
             line = line.strip()
-            if line:
-                yield parse_graph6(line)
+            if not line:
+                continue
+            try:
+                g = parse_graph6(line)
+            except Graph6ParseError as exc:
+                raise Graph6ParseError(f"line {lineno}: {exc}") from exc
+            yield g
     finally:
         if stream is not sys.stdin:
             stream.close()

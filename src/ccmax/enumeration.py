@@ -118,7 +118,7 @@ def _children(
                 masks, newm, n, c.bound
             ):
                 continue
-            yield _canon_masks(masks, newm)
+            yield _canon_masks(masks)
 
 
 def _extend_chunk(args) -> list[tuple[int, ...]]:
@@ -146,20 +146,28 @@ def enumerate_graphs(
     level: list[tuple[int, ...]] = [(0,)]
     if c.mode == MODE_REGULAR and not _regular_prefix_ok((0,), 1, n, c.bound):
         level = []
-    for m in range(1, n):
-        if not level:
-            break
-        if workers > 1 and len(level) > workers:
-            chunks = [level[i::workers] for i in range(workers)]
-            merged: set[tuple[int, ...]] = set()
-            with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as ex:
-                for part in ex.map(
+    # One pool serves every level of this call; it starts at the first level
+    # large enough to split, so small enumerations start no processes.
+    pool = None
+    try:
+        for m in range(1, n):
+            if not level:
+                break
+            if workers > 1 and len(level) > workers:
+                if pool is None:
+                    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                chunks = [level[i::workers] for i in range(workers)]
+                merged: set[tuple[int, ...]] = set()
+                for part in pool.map(
                     _extend_chunk, [(ch, m, n, c) for ch in chunks]
                 ):
                     merged.update(part)
-            level = sorted(merged)
-        else:
-            level = _extend_chunk((level, m, n, c))
+                level = sorted(merged)
+            else:
+                level = _extend_chunk((level, m, n, c))
+    finally:
+        if pool is not None:
+            pool.shutdown()
     out = [Graph(n, masks) for masks in level]
     out = [g for g in out if c.satisfied_by(g)]
     out.sort(key=to_graph6)

@@ -237,11 +237,17 @@ def parse_graph6(line: str) -> Graph:
 
 # -- canonical forms -----------------------------------------------------------
 #
-# The canonical labeling maximizes the upper-triangle bit string among all
-# vertex orderings compatible with the stable color-refinement partition
-# (classes ordered by an invariant key). Found by depth-first branch and
-# bound over positions with twin skipping, so highly symmetric graphs stay
-# cheap. Works well through n = 20; enforced by CANONICAL_MAX_N.
+# The canonical labelling is the vertex ordering whose upper-triangle bit
+# string, read column by column as in graph6 (b(0,1), b(0,2), b(1,2), ...),
+# is largest among all orderings compatible with the ordered stable
+# partition: the classes of _refine_classes, in exactly its order, fill the
+# positions one class after another. This definition, class order included,
+# fixes every canonical string and so every enumeration order and report;
+# an implementation may change only how fast the maximum is found, and
+# tests/test_canon_reference.py holds it to a frozen reference. When every
+# class is a singleton the class order is the labelling; otherwise a
+# depth-first branch and bound over positions, with twin skipping, finds
+# the maximum. Works well through n = 20; enforced by CANONICAL_MAX_N.
 
 
 @dataclass(frozen=True, order=True)
@@ -254,39 +260,82 @@ class CanonicalForm:
         return self.g6
 
 
-def _refine_classes(masks: Sequence[int], n: int) -> list[list[int]]:
-    """Stable color-refinement partition, classes in invariant order."""
-    colors = [0] * n
-    ncolors = 1
-    while True:
-        keys = []
-        for v in range(n):
-            nbr = tuple(sorted(colors[w] for w in _bits(masks[v])))
-            keys.append((colors[v], nbr))
-        palette = sorted(set(keys))
-        index = {k: i for i, k in enumerate(palette)}
-        colors = [index[k] for k in keys]
-        if len(palette) == ncolors:
+def _neighbor_lists(masks: Sequence[int]) -> list[list[int]]:
+    out = []
+    for mask in masks:
+        nbrs = []
+        while mask:
+            low = mask & -mask
+            nbrs.append(low.bit_length() - 1)
+            mask ^= low
+        out.append(nbrs)
+    return out
+
+
+def _refine_classes(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
+    """Stable colour-refinement partition, classes in invariant order.
+
+    Colours start as degree ranks. Each round splits every class by the
+    sorted colours of its vertices' neighbours and numbers the new colours in
+    (old colour, sorted neighbour colours) order, until no class splits.
+    Classes are ordered by (size, colour); each lists its vertices in
+    increasing order.
+    """
+    n = len(nbrs)
+    degs = [len(nb) for nb in nbrs]
+    rank = {d: i for i, d in enumerate(sorted(set(degs)))}
+    classes: list[list[int]] = [[] for _ in rank]
+    for v, d in enumerate(degs):
+        classes[rank[d]].append(v)
+    # A vertex's key packs how many neighbours it has of each colour into one
+    # integer, colour 0 in the highest field; a field of n.bit_length() bits
+    # holds any count. Within a class all degrees are equal, so a larger key
+    # is exactly a smaller sorted tuple of neighbour colours.
+    width = n.bit_length()
+    weight = [0] * n
+    # Neither one colour (a regular graph: every vertex sees the same
+    # neighbour colours) nor n colours can split further.
+    while 1 < len(classes) < n:
+        shift = width * len(classes)
+        for cls in classes:
+            field = 1 << shift
+            shift -= width
+            for v in cls:
+                weight[v] = field
+        split: list[list[int]] = []
+        for cls in classes:
+            if len(cls) == 1:
+                split.append(cls)
+                continue
+            parts: dict[int, list[int]] = {}
+            for v in cls:
+                key = sum(map(weight.__getitem__, nbrs[v]))
+                if key in parts:
+                    parts[key].append(v)
+                else:
+                    parts[key] = [v]
+            if len(parts) == 1:
+                split.append(cls)
+            else:
+                split.extend(parts[key] for key in sorted(parts, reverse=True))
+        if len(split) == len(classes):
             break
-        ncolors = len(palette)
-    classes: dict[int, list[int]] = {}
-    for v in range(n):
-        classes.setdefault(colors[v], []).append(v)
-    return [classes[c] for c in sorted(classes, key=lambda c: (len(classes[c]), c))]
-
-
-def _twins(masks: Sequence[int], u: int, v: int) -> bool:
-    # Swapping u and v is an automorphism (holds whether or not u ~ v).
-    return masks[u] & ~(1 << v) == masks[v] & ~(1 << u)
+        classes = split
+    classes.sort(key=len)
+    return classes
 
 
 _COL_SHIFT = 64
 
 
-def _canonical_perm(masks: Sequence[int], n: int) -> list[int]:
+def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list[int]:
+    """Vertices in canonical order: perm[p] is the vertex placed at p."""
+    n = len(masks)
     if n <= 1:
         return list(range(n))
-    classes = _refine_classes(masks, n)
+    classes = _refine_classes(nbrs)
+    if len(classes) == n:
+        return [v for (v,) in classes]
     pos_class: list[int] = []
     for ci, cls in enumerate(classes):
         pos_class.extend([ci] * len(cls))
@@ -296,37 +345,59 @@ def _canonical_perm(masks: Sequence[int], n: int) -> list[int]:
     rcol = [0] * n
     cur = [0] * n
     placed: list[int] = []
-    best: list[int] | None = None
-    best_perm: list[int] | None = None
+    best: list[int] = []
+    best_perm: list[int] = []
+    # Classes are ordered by size, so singletons take the first positions
+    # and leave no choice: place them before the search starts.
+    for cls in classes:
+        if len(cls) > 1:
+            break
+        v = cls[0]
+        j = len(placed)
+        cur[j] = rcol[v]
+        placed.append(v)
+        bit = 1 << (_COL_SHIFT - j)
+        for w in nbrs[v]:
+            rcol[w] += bit
 
     def dfs(j: int, tight: bool) -> bool:
+        # tight: the columns placed so far equal best's; only then can a
+        # smaller column prune, and an equal leaf is no improvement.
         nonlocal best, best_perm
         if j == n:
-            if not tight:
-                best = cur[:]
-                best_perm = placed[:]
-                return True
-            return False
+            if tight:
+                return False
+            best = cur[:]
+            best_perm = placed[:]
+            return True
         cls = remaining[pos_class[j]]
-        cands = sorted(cls, key=lambda v: -rcol[v])
+        cands = cls[:] if len(cls) == 1 else sorted(cls, key=rcol.__getitem__, reverse=True)
         updated = False
         tried: list[int] = []
         for v in cands:
             col = rcol[v]
-            if tight and best is not None and col < best[j]:
+            if tight and col < best[j]:
                 break
-            if any(_twins(masks, u, v) for u in tried):
+            mv = masks[v]
+            bv = 1 << v
+            twin = False
+            for u in tried:
+                # Swapping twins u and v is an automorphism that fixes every
+                # placed vertex, so v's subtree repeats u's.
+                if (masks[u] ^ mv) & ~(bv | 1 << u) == 0:
+                    twin = True
+                    break
+            if twin:
                 continue
             tried.append(v)
-            child_tight = tight and best is not None and col == best[j]
             cur[j] = col
             placed.append(v)
             cls.remove(v)
             bit = 1 << (_COL_SHIFT - j)
-            touched = list(_bits(masks[v]))
+            touched = nbrs[v]
             for w in touched:
                 rcol[w] += bit
-            if dfs(j + 1, child_tight):
+            if dfs(j + 1, tight and col == best[j]):
                 updated = True
                 tight = True
             for w in touched:
@@ -335,26 +406,31 @@ def _canonical_perm(masks: Sequence[int], n: int) -> list[int]:
             cls.append(v)
         return updated
 
-    dfs(0, False)
-    assert best_perm is not None
+    dfs(len(placed), False)
     return best_perm
+
+
+def _canonical_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    """Adjacency masks of the canonically labelled copy."""
+    nbrs = _neighbor_lists(masks)
+    perm = _canonical_perm(masks, nbrs)
+    pos = [0] * len(perm)
+    for p, v in enumerate(perm):
+        pos[v] = p
+    out = []
+    for v in perm:
+        mv = 0
+        for w in nbrs[v]:
+            mv |= 1 << pos[w]
+        out.append(mv)
+    return tuple(out)
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of g."""
     if g.n > CANONICAL_MAX_N:
         raise CapabilityError(f"canonical form supports n <= {CANONICAL_MAX_N}, got {g.n}")
-    perm = _canonical_perm(g._masks, g.n)
-    pos = [0] * g.n
-    for p, v in enumerate(perm):
-        pos[v] = p
-    masks = [0] * g.n
-    for v in range(g.n):
-        mv = 0
-        for w in _bits(g._masks[v]):
-            mv |= 1 << pos[w]
-        masks[pos[v]] = mv
-    return Graph(g.n, masks)
+    return Graph(g.n, _canonical_masks(g._masks))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -362,20 +438,9 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(to_graph6(canonical_graph(g)))
 
 
-def _canon_masks(masks: Sequence[int], n: int) -> tuple[int, ...]:
-    # Fast path for the enumerator: canonical adjacency straight from masks.
-    perm = _canonical_perm(masks, n)
-    pos = [0] * n
-    for p, v in enumerate(perm):
-        pos[v] = p
-    out = [0] * n
-    for v in range(n):
-        mv = 0
-        for w in _bits(masks[v]):
-            mv |= 1 << pos[w]
-        out[pos[v]] = mv
-    return tuple(out)
-
-
-def _canon_g6(masks: Sequence[int], n: int) -> str:
-    return to_graph6(Graph(n, _canon_masks(masks, n)))
+def _canon_masks(masks: Sequence[int]) -> tuple[int, ...]:
+    # The enumerator's entry point: masks in and out, no Graph and no
+    # capability check (enumeration caps are far below CANONICAL_MAX_N).
+    # Kept apart from canonical_graph, which does not call it, so that the
+    # two count as separate calls when perfbench traces them.
+    return _canonical_masks(masks)

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ccmax import canonical_form, g_kl, parse_graph6, to_graph6
+from ccmax import canonical_form, from_edges, g_kl, parse_graph6, to_graph6
 from ccmax.cli import main
 
 
@@ -81,6 +81,20 @@ class TestDelta:
         f.write_text("Bw\n")
         code, _, err = run(capsys, "delta", "-u", "0", "-v", "1", str(f))
         assert code == 1 and "error:" in err
+
+
+class TestGraph6Errors:
+    @pytest.mark.parametrize(
+        "argv", [["compute"], ["delta", "-u", "0", "-v", "2"], ["classify"]], ids=lambda a: a[0]
+    )
+    def test_names_the_bad_line(self, capsys, monkeypatch, argv):
+        # Line numbers are 1-based and count blank lines.
+        path = to_graph6(from_edges(3, [(0, 1), (1, 2)]))
+        monkeypatch.setattr("sys.stdin", io.StringIO(f"{path}\n\nBx\n"))
+        code, out, err = run(capsys, *argv)
+        assert code == 1
+        assert err == "error: line 3: nonzero padding bits\n"
+        assert len(out.splitlines()) == 1
 
 
 class TestGen:

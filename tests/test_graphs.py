@@ -5,6 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from ccmax import (
     CapabilityError,
+    Graph,
     Graph6ParseError,
     canonical_form,
     canonical_graph,
@@ -16,7 +17,7 @@ from ccmax import (
     to_graph6,
     triangles_at,
 )
-from ccmax.graphs import _canon_g6
+from ccmax.graphs import _canon_masks
 
 from conftest import brute_isomorphic, brute_triangle_triples, graphs, relabel
 
@@ -154,6 +155,26 @@ class TestGraph6:
         with pytest.raises(CapabilityError):
             to_graph6(from_edges(63, []))
 
+    @given(
+        st.one_of(
+            st.text(),
+            st.text(st.characters(min_codepoint=58, max_codepoint=130)),
+            st.integers(0, 12).flatmap(
+                lambda n: st.text(
+                    st.characters(min_codepoint=60, max_codepoint=128),
+                    min_size=(n * (n - 1) // 2 + 5) // 6,
+                    max_size=(n * (n - 1) // 2 + 5) // 6,
+                ).map(lambda body: chr(n + 63) + body)
+            ),
+        )
+    )
+    def test_arbitrary_text_fails_only_with_parse_error(self, text):
+        try:
+            g = parse_graph6(text)
+        except Graph6ParseError:
+            return
+        assert to_graph6(g) == text.rstrip("\r\n")
+
     @given(graphs(max_n=12))
     def test_round_trip_random(self, g):
         assert parse_graph6(to_graph6(g)) == g
@@ -180,8 +201,11 @@ class TestCanonicalForm:
         assert brute_isomorphic(g, h)
 
     def test_fast_path_matches(self):
-        g = named("paw")
-        assert _canon_g6(g._masks, g.n) == canonical_form(g).g6
+        names = ["triangle", "diamond", "paw", "K4"]
+        names += [f"path({n})" for n in range(1, 9)] + [f"cycle({n})" for n in range(3, 9)]
+        for name in names:
+            g = named(name)
+            assert canonical_graph(g) == Graph(g.n, _canon_masks(g._masks)), name
 
     @given(graphs(max_n=7), st.randoms(use_true_random=False))
     def test_invariant_under_relabelling(self, g, rng):
