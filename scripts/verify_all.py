@@ -23,11 +23,11 @@ def main() -> int:
     args = ap.parse_args()
 
     jobs = []
-    for n in (6, 8, 10, 12):
-        jobs.append(lambda n=n: verify_theorem1(3, n, workers=args.workers))
-    for n in (6, 7, 8, 9, 10):
+    for k, n in ((3, 6), (3, 8), (3, 10), (3, 12), (4, 10)):
+        jobs.append(lambda k=k, n=n: verify_theorem1(k, n, workers=args.workers))
+    for n in (6, 7, 8, 9, 10, 11):
         jobs.append(lambda n=n: verify_theorem23(n, workers=args.workers))
-    for n in (3, 4, 5, 6, 7):
+    for n in (3, 4, 5, 6, 7, 8):
         jobs.append(lambda n=n: verify_theorem4(n, workers=args.workers))
     for k in (3, 4, 5, 6):
         for length in (2, 3, 4):

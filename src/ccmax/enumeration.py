@@ -1,24 +1,41 @@
 """Isomorph-free exhaustive enumeration of small graphs under degree
-constraints.
+constraints, by canonical deletion (McKay, "Isomorph-free exhaustive
+generation", J. Algorithms 26 (1998) 306-324).
 
-Graphs are grown one vertex at a time: every order-(m+1) graph arises from
-an order-m graph by attaching a new vertex (for connected targets, removing
-a non-cut vertex shows every connected graph is reachable through connected
-intermediates), so extending each order-m isomorphism class by every
-admissible neighbor set and deduplicating by canonical form is exhaustive.
-Regular targets additionally prune prefixes that cannot complete to a
-k-regular graph. Deterministic: each level is a sorted set of canonical
-adjacency vectors, independent of how the work is split across workers.
+Graphs are grown one vertex at a time. A child of an order-m canonical
+parent P attaches the new vertex m to an admissible neighbour set. Its
+deletable vertices are its non-cut vertices for connected targets (deleting
+one leaves a connected graph, so connected graphs are reached through
+connected intermediates) and all of its vertices otherwise. Among them the
+canonical deletion vertex has minimal f(v) = (degree, sum of neighbour
+degrees) and, among those, the highest position in the canonical labelling.
+A child is kept only when deleting that vertex gives back P's class:
+
+- a child in which some deletable vertex has a smaller f than m is dropped
+  without a canonical labelling;
+- a child in which m alone has minimal f is kept;
+- otherwise the child's canonical copy C* is kept iff C* minus its canonical
+  deletion vertex labels canonically as P.
+
+Every class is thereby produced from exactly one parent class, so a level is
+the union of per-parent sets (duplicates within one parent come from
+automorphic neighbour sets) and needs no level-wide deduplication. Regular
+targets also prune prefixes that cannot complete to a k-regular graph; every
+induced subgraph of a k-regular graph passes that test, so no target graph
+loses its chain of canonical parents. Deterministic: each level is sorted,
+and the output is sorted by canonical graph6, independent of how the work is
+split across workers.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import os
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Iterable, Sequence
+from itertools import chain, combinations
+from typing import Sequence
 
-from .graphs import CapabilityError, Graph, _canon_masks, to_graph6
+from .graphs import CapabilityError, Graph, _canon_masks, is_connected, to_graph6
 
 MODE_ANY = "any"
 MODE_MAX_DEGREE = "max_degree"
@@ -63,8 +80,6 @@ class DegreeConstraint:
         if self.mode == MODE_REGULAR and any(d != self.bound for d in degs):
             return False
         if self.connected:
-            from .graphs import is_connected
-
             return is_connected(g)
         return True
 
@@ -96,37 +111,135 @@ def _regular_prefix_ok(masks: Sequence[int], m: int, n: int, k: int) -> bool:
     return spare >= 0 and spare % 2 == 0 and spare <= rem * (rem - 1)
 
 
+_F_SHIFT = 16
+
+
+def _invariants(masks: Sequence[int]) -> list[int]:
+    # f(v) = (degree, sum of neighbour degrees), packed so that integer
+    # order is tuple order (a sum of at most 19 degrees of at most 19 fits
+    # below the shift).
+    degs = [x.bit_count() for x in masks]
+    out = []
+    for x, d in zip(masks, degs):
+        s = 0
+        while x:
+            low = x & -x
+            s += degs[low.bit_length() - 1]
+            x ^= low
+        out.append(d << _F_SHIFT | s)
+    return out
+
+
+def _is_cut(masks: Sequence[int], v: int) -> bool:
+    # whether deleting v disconnects the (connected) graph; a vertex of
+    # degree <= 1 never does
+    if masks[v] & (masks[v] - 1) == 0:
+        return False
+    rest = ((1 << len(masks)) - 1) ^ (1 << v)
+    seen = frontier = rest & -rest
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & rest & ~seen
+        seen |= frontier
+    return seen != rest
+
+
+def _any_deletable(masks: Sequence[int], vs: Sequence[int], connected: bool) -> bool:
+    # deletable: any vertex for disconnected targets, else a non-cut vertex
+    return bool(vs) and (not connected or not all(_is_cut(masks, u) for u in vs))
+
+
+def _delete(masks: Sequence[int], p: int) -> list[int]:
+    # masks of the graph without vertex p, later vertices shifted down
+    low = (1 << p) - 1
+    return [x & low | x >> (p + 1) << p for i, x in enumerate(masks) if i != p]
+
+
+def _deletes_to(canon: tuple[int, ...], fmin: int, connected: bool, parent: tuple[int, ...]) -> bool:
+    # The canonical deletion vertex of a canonical child is its highest
+    # deletable position with minimal f; the child belongs to parent iff
+    # deleting that vertex gives back parent's class.
+    f = _invariants(canon)
+    p = next(
+        p
+        for p in reversed(range(len(canon)))
+        if f[p] == fmin and not (connected and _is_cut(canon, p))
+    )
+    return _canon_masks(_delete(canon, p)) == parent
+
+
 def _children(
     parent: tuple[int, ...], m: int, n: int, c: DegreeConstraint
-) -> Iterable[tuple[int, ...]]:
-    # all admissible ways to attach vertex m to an order-m parent
+) -> list[tuple[int, ...]]:
+    # Canonical masks of the admissible children of an order-m canonical
+    # parent whose canonical deletion gives back parent (module docstring).
     if c.mode == MODE_ANY:
         eligible = list(range(m))
         max_size = m
     else:
         eligible = [u for u in range(m) if parent[u].bit_count() < c.bound]
         max_size = min(c.bound, len(eligible))
-    min_size = 1 if c.connected else 0
+    connected = c.connected
+    regular = c.mode == MODE_REGULAR
+    base = _invariants(parent)
+    # A deletable vertex u of the parent stays deletable in a child unless
+    # the new vertex's only neighbour is u, and gains at most one edge; so a
+    # new vertex of degree above u's + 1 never has minimal f.
+    by_degree = sorted((x.bit_count(), u) for u, x in enumerate(parent))
+    d0 = next(d for d, u in by_degree if not (connected and _is_cut(parent, u)))
+    max_size = min(max_size, d0 + 1)
+    new = 1 << m
     newm = m + 1
-    for size in range(min_size, max_size + 1):
+    verdicts: dict[tuple[int, ...], bool] = {}
+    # f in the child, from the parent's: every neighbour of u in the subset
+    # gains one degree, and a vertex u in the subset gains one degree and
+    # the new vertex (of degree size) as a neighbour.
+    for size in range(1 if connected else 0, max_size + 1):
+        bump = (1 << _F_SHIFT) + size
         for subset in combinations(eligible, size):
-            masks = list(parent) + [0]
+            smask = 0
+            fm = size << _F_SHIFT
             for u in subset:
-                masks[u] |= 1 << m
-                masks[m] |= 1 << u
-            if c.mode == MODE_REGULAR and not _regular_prefix_ok(
-                masks, newm, n, c.bound
-            ):
+                smask |= 1 << u
+                fm += (base[u] >> _F_SHIFT) + 1
+            masks = list(parent)
+            lower = []
+            ties = []
+            for u in range(m):
+                x = masks[u]
+                fu = base[u] + (x & smask).bit_count()
+                if smask >> u & 1:
+                    fu += bump
+                    masks[u] = x | new
+                if fu < fm:
+                    lower.append(u)
+                elif fu == fm:
+                    ties.append(u)
+            masks.append(smask)
+            if _any_deletable(masks, lower, connected):
                 continue
-            yield _canon_masks(masks)
+            if regular and not _regular_prefix_ok(masks, newm, n, c.bound):
+                continue
+            canon = _canon_masks(masks)
+            # Children with equal canonical masks (automorphic neighbour
+            # sets) get the same verdict, which depends on canon alone.
+            if canon not in verdicts:
+                verdicts[canon] = not _any_deletable(masks, ties, connected) or _deletes_to(
+                    canon, fm, connected, parent
+                )
+    return [canon for canon, kept in verdicts.items() if kept]
 
 
 def _extend_chunk(args) -> list[tuple[int, ...]]:
     parents, m, n, c = args
-    seen: set[tuple[int, ...]] = set()
+    out: list[tuple[int, ...]] = []
     for parent in parents:
-        seen.update(_children(parent, m, n, c))
-    return sorted(seen)
+        out.extend(_children(parent, m, n, c))
+    return out
 
 
 def enumerate_graphs(
@@ -147,7 +260,8 @@ def enumerate_graphs(
     if c.mode == MODE_REGULAR and not _regular_prefix_ok((0,), 1, n, c.bound):
         level = []
     # One pool serves every level of this call; it starts at the first level
-    # large enough to split, so small enumerations start no processes.
+    # large enough to split, so small enumerations start no processes. It
+    # has at most one process per CPU; the chunks do not depend on that.
     pool = None
     try:
         for m in range(1, n):
@@ -155,16 +269,14 @@ def enumerate_graphs(
                 break
             if workers > 1 and len(level) > workers:
                 if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(max_workers=workers)
+                    pool = concurrent.futures.ProcessPoolExecutor(
+                        max_workers=min(workers, os.cpu_count() or 1)
+                    )
                 chunks = [level[i::workers] for i in range(workers)]
-                merged: set[tuple[int, ...]] = set()
-                for part in pool.map(
-                    _extend_chunk, [(ch, m, n, c) for ch in chunks]
-                ):
-                    merged.update(part)
-                level = sorted(merged)
+                parts = pool.map(_extend_chunk, [(ch, m, n, c) for ch in chunks])
+                level = sorted(chain.from_iterable(parts))
             else:
-                level = _extend_chunk((level, m, n, c))
+                level = sorted(_extend_chunk((level, m, n, c)))
     finally:
         if pool is not None:
             pool.shutdown()

@@ -157,7 +157,7 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
         n, DegreeConstraint.max_degree(3, connected=True), workers
     )
     table = _cc_table(graphs)
-    max_found = max(v for v, _, _ in table)
+    max_found = max((v for v, _, _ in table), default=Fraction(0))
     extremal = tuple(sorted(s for v, s, _ in table if v == max_found))
     equality = sorted(s for v, s, _ in table if v == bound)
     b_members = sorted(s for _, s, g in table if is_in_b(g))
@@ -215,7 +215,11 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
                 if delta == bound:
                     equality.add((s, (u, v)))
     k2_rep = canonical_form(complete_bipartite(2, n - 2)).g6
-    rep = next(g for g in graphs if to_graph6(g) == k2_rep)
+    rep = next((g for g in graphs if to_graph6(g) == k2_rep), None)
+    if rep is None:
+        raise ValueError(
+            f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
+        )
     predicted = {
         (k2_rep, (u, v))
         for u in range(rep.n)

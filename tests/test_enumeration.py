@@ -1,5 +1,7 @@
 """Isomorph-free enumeration against published counts and brute force."""
 
+import concurrent.futures
+import os
 from itertools import combinations
 
 import pytest
@@ -17,9 +19,14 @@ from ccmax import (
     to_graph6,
 )
 
-# sequence A000088 resp. A002851-style counts, checked against standard tables
+# OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
+# (connected 4-regular graphs)
 ALL_GRAPHS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156, 7: 1044}
-CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5}
+CONNECTED_CUBIC = {4: 1, 6: 2, 8: 5, 10: 19, 12: 85}
+CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
+# connected graphs of maximum degree 3: derived from this code, not from a
+# published table
+SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
 
 
 def brute_count(n, constraint):
@@ -42,15 +49,19 @@ class TestCounts:
     def test_connected_cubic(self, n, expected):
         assert count(n, DegreeConstraint.regular(3, connected=True)) == expected
 
+    @pytest.mark.parametrize("n,expected", sorted(CONNECTED_QUARTIC.items()))
+    def test_connected_quartic(self, n, expected):
+        assert count(n, DegreeConstraint.regular(4, connected=True)) == expected
+
     def test_connected_counts(self):
-        # connected graphs on 1..6 vertices: 1, 1, 2, 6, 21, 112
-        want = [1, 1, 2, 6, 21, 112]
-        got = [count(n, DegreeConstraint.any_degree(connected=True)) for n in range(1, 7)]
+        # OEIS A001349, connected graphs on 1..7 vertices
+        want = [1, 1, 2, 6, 21, 112, 853]
+        got = [count(n, DegreeConstraint.any_degree(connected=True)) for n in range(1, 8)]
         assert got == want
 
     def test_subcubic_connected(self):
-        assert count(6, DegreeConstraint.max_degree(3, connected=True)) == 29
-        assert count(7, DegreeConstraint.max_degree(3, connected=True)) == 64
+        got = {n: count(n, DegreeConstraint.max_degree(3, connected=True)) for n in SUBCUBIC_CONNECTED}
+        assert got == SUBCUBIC_CONNECTED
 
 
 class TestAgainstBruteForce:
@@ -107,6 +118,31 @@ class TestOutputProperties:
         seq = [to_graph6(g) for g in enumerate_graphs(7, c, workers=1)]
         par = [to_graph6(g) for g in enumerate_graphs(7, c, workers=3)]
         assert seq == par
+
+    @pytest.mark.parametrize("workers", [5, 10**6])
+    def test_pool_size_bounded_by_cpus(self, monkeypatch, workers):
+        # A fake executor stands in for the process pool, so no process
+        # starts; the chunks it receives are those of the real pool.
+        started = []
+
+        class FakeExecutor:
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+            def shutdown(self):
+                pass
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        c = DegreeConstraint.max_degree(3, connected=True)
+        seq = [to_graph6(g) for g in enumerate_graphs(7, c, workers=1)]
+        par = [to_graph6(g) for g in enumerate_graphs(7, c, workers=workers)]
+        assert par == seq
+        # one pool per call, once some level has more graphs than workers
+        assert started == ([2] if workers == 5 else [])
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 6), st.booleans())

@@ -1,15 +1,19 @@
 """Verifier reports on small instances with hand-checked values."""
 
 import json
+import re
 from fractions import Fraction
 
 import pytest
 
+import ccmax.harness as harness
 from ccmax import (
     TheoremReport,
     canonical_form,
+    complete_bipartite,
     g_kl,
     theorem2_bound,
+    to_graph6,
     verify_caveman_rewire,
     verify_theorem1,
     verify_theorem23,
@@ -80,6 +84,12 @@ class TestTheorem23:
         with pytest.raises(ValueError):
             verify_theorem23(5)
 
+    def test_empty_universe(self, monkeypatch):
+        monkeypatch.setattr(harness, "enumerate_graphs", lambda n, c, workers: [])
+        r = verify_theorem23(6)
+        assert r.graphs_examined == 0 and r.extremal_graphs == ()
+        assert r.max_found == 0 and not r.attained
+
 
 class TestTheorem4:
     def test_n3(self):
@@ -105,6 +115,17 @@ class TestTheorem4:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_theorem4(2)
+
+    def test_missing_k2_representative(self, monkeypatch):
+        rep = canonical_form(complete_bipartite(2, 3)).g6
+        real = harness.enumerate_graphs
+
+        def without_rep(n, c, workers):
+            return [g for g in real(n, c, workers) if to_graph6(g) != rep]
+
+        monkeypatch.setattr(harness, "enumerate_graphs", without_rep)
+        with pytest.raises(ValueError, match=r"K_\{2,3\}.*" + re.escape(rep)):
+            verify_theorem4(5)
 
 
 class TestCaveman:
