@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Run every exhaustive verification at full desk scale and print a summary.
 
-Exit status is 0 only if all checks pass. Expect a couple of minutes on a
-laptop; --workers spreads the enumeration across processes.
+Exit status is 0 only if all checks pass. The 29 cells take about 17 s on a
+2-core machine with Python 3.11, at 1 or 2 workers; --workers spreads the
+enumeration across processes.
 """
 
 import argparse

@@ -2,7 +2,6 @@
 small-order verification of their maximality bounds."""
 
 from .clustering import (
-    Rational,
     cc_sum,
     decimal_str,
     edge_add_delta,

@@ -13,8 +13,6 @@ from typing import Iterable
 
 from .graphs import Graph, triangles_at
 
-Rational = Fraction
-
 
 def local_cc(g: Graph, u: int) -> Fraction:
     """Local clustering coefficient of u; 0 when deg(u) < 2."""
@@ -84,17 +82,18 @@ def theorem4_bound(n: int) -> Fraction:
     return 1 - Fraction(2, n) + Fraction(4, n * (n - 1))
 
 
-# type -> (numerator constant c in C = (7n + c)/(12n), smallest legal order);
-# legal orders step by 4 (one extra plain degree-3 inner vertex per step).
-_FAMILY_B_SHAPE = {
-    (0, 0, 0): (14, 6),
-    (1, 0, 0): (11, 7),
+# type of the extremal construction -> (smallest order, numerator constant c
+# in C = (7n + c)/(12n)); legal orders step by 4 (one extra plain degree-3
+# inner vertex per step). generators.py builds these types from this table.
+_FAMILY_B = {
+    (0, 0, 0): (6, 14),
+    (1, 0, 0): (7, 11),
     (2, 0, 0): (8, 8),
-    (0, 1, 0): (13, 9),
+    (0, 1, 0): (9, 13),
     (0, 0, 1): (12, 12),
     (0, 2, 0): (12, 12),
-    (0, 1, 1): (11, 15),
-    (0, 3, 0): (11, 15),
+    (0, 1, 1): (15, 11),
+    (0, 3, 0): (15, 11),
 }
 
 
@@ -105,9 +104,9 @@ def family_b_cc(t, n: int) -> Fraction:
     Orders inconsistent with the type's order formula are rejected.
     """
     key = tuple(t)
-    if key not in _FAMILY_B_SHAPE:
+    if key not in _FAMILY_B:
         raise ValueError(f"no closed form for type {key}")
-    c, base = _FAMILY_B_SHAPE[key]
+    base, c = _FAMILY_B[key]
     if n < base or (n - base) % 4 != 0:
         raise ValueError(f"order {n} impossible for type {key}: need {base} + 4k")
     return Fraction(7 * n + c, 12 * n)

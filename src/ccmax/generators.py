@@ -11,6 +11,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
+from .clustering import _FAMILY_B
 from .graphs import Graph, from_edges, is_connected
 
 TRIANGLE_MARK = "triangle"
@@ -214,27 +215,14 @@ def family_b(sk: BSkeleton) -> Graph:
     return from_edges(base, edges)
 
 
-# type -> smallest order (at k = 0)
-_BASE_ORDER = {
-    (0, 0, 0): 6,
-    (1, 0, 0): 7,
-    (2, 0, 0): 8,
-    (0, 1, 0): 9,
-    (0, 0, 1): 12,
-    (0, 2, 0): 12,
-    (0, 1, 1): 15,
-    (0, 3, 0): 15,
-}
-
-
 def family_b_order(t, k: int) -> int:
     """Order of the type-t construction with k plain internal vertices."""
     key = tuple(t)
-    if key not in _BASE_ORDER:
+    if key not in _FAMILY_B:
         raise ValueError(f"no order formula for type {key}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")
-    return _BASE_ORDER[key] + 4 * k
+    return _FAMILY_B[key][0] + 4 * k
 
 
 def standard_skeleton(t, k: int) -> BSkeleton:
@@ -243,7 +231,7 @@ def standard_skeleton(t, k: int) -> BSkeleton:
     on the leaves, degree-2 marked vertices subdividing the first edge, and
     (for i3 = 1) one degree-3 marked vertex joined to the spine."""
     key = tuple(t)
-    if key not in _BASE_ORDER:
+    if key not in _FAMILY_B:
         raise ValueError(f"no standard skeleton for type {key}")
     if k < 0:
         raise ValueError(f"need k >= 0, got {k}")

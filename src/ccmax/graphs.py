@@ -63,10 +63,6 @@ class Graph:
         self._check_vertex(u)
         return tuple(_bits(self._masks[u]))
 
-    @property
-    def adj(self) -> tuple[frozenset[int], ...]:
-        return tuple(frozenset(_bits(m)) for m in self._masks)
-
     def has_edge(self, u: int, v: int) -> bool:
         self._check_vertex(u)
         self._check_vertex(v)

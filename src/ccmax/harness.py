@@ -97,8 +97,16 @@ def _jsonify(value):
     return value
 
 
-def _cc_table(graphs: list[Graph]) -> list[tuple[Fraction, str, Graph]]:
-    return [(graph_cc(g), to_graph6(g), g) for g in graphs]
+def _maximum(graphs: list[Graph], bound: Fraction):
+    """Exact C of every graph with its canonical graph6, then the maximum,
+    the sorted argmax, the sorted graphs at the bound and the structural
+    claims of every maximizer."""
+    table = [(graph_cc(g), to_graph6(g), g) for g in graphs]
+    max_found = max((v for v, _, _ in table), default=Fraction(0))
+    extremal = tuple(sorted(s for v, s, _ in table if v == max_found))
+    equality = sorted(s for v, s, _ in table if v == bound)
+    claims = {s: claim_checks(g) for v, s, g in table if v == max_found}
+    return table, max_found, extremal, equality, claims
 
 
 def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
@@ -114,17 +122,13 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
         raise ValueError(f"need n >= k + 2, got n={n}")
     bound = theorem1_bound(k)
     graphs = enumerate_graphs(n, DegreeConstraint.regular(k, connected=True), workers)
-    table = _cc_table(graphs)
-    max_found = max((v for v, _, _ in table), default=Fraction(0))
-    extremal = tuple(sorted(s for v, s, _ in table if v == max_found)) if table else ()
-    equality = sorted(s for v, s, _ in table if v == bound)
+    table, max_found, extremal, equality, claims = _maximum(graphs, bound)
     if n % (k + 1) == 0:
         predicted = [canonical_form(g_kl(k, n // (k + 1))).g6]
     else:
         predicted = []
     characterization_ok = equality == predicted
     attained = max_found == bound and bool(table)
-    claims = {s: claim_checks(g) for v, s, g in table if v == max_found}
     return TheoremReport(
         theorem_id="T1",
         parameters={"k": k, "n": n},
@@ -156,15 +160,13 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     graphs = enumerate_graphs(
         n, DegreeConstraint.max_degree(3, connected=True), workers
     )
-    table = _cc_table(graphs)
-    max_found = max((v for v, _, _ in table), default=Fraction(0))
-    extremal = tuple(sorted(s for v, s, _ in table if v == max_found))
-    equality = sorted(s for v, s, _ in table if v == bound)
-    b_members = sorted(s for _, s, g in table if is_in_b(g))
-    b_literal = sorted(s for _, s, g in table if is_in_b_literal(g))
+    table, max_found, extremal, equality, claims = _maximum(graphs, bound)
+    # B is contained in literal B, so is_in_b runs on the literal members only
+    literal = [(s, g) for _, s, g in table if is_in_b_literal(g)]
+    b_literal = sorted(s for s, _ in literal)
+    b_members = sorted(s for s, g in literal if is_in_b(g))
     characterization_ok = equality == b_members
     attained = max_found == bound
-    claims = {s: claim_checks(g) for v, s, g in table if v == max_found}
     return TheoremReport(
         theorem_id="T3",
         parameters={"n": n},

@@ -102,8 +102,13 @@ def blocks(g: Graph) -> BlockDecomposition:
 
 def classify_block(g: Graph, block) -> BlockKind:
     """K2/K3/diamond classification of one block of g."""
+    return classify_block_in(g, blocks(g), block)
+
+
+def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
+    """classify_block without recomputing the decomposition."""
     verts = tuple(sorted(block))
-    if verts not in blocks(g).blocks:
+    if verts not in dec.blocks:
         raise ValueError(f"{verts} is not a block of the graph")
     k = len(verts)
     m = edges_within(g, verts)
@@ -146,16 +151,17 @@ LEGAL_TYPES = (
 )
 
 
-def graph_type(g: Graph) -> GraphType:
-    """Type of a connected graph; triangle endblocks (one degree-3 vertex)
-    count toward neither i2 nor i3."""
+def _structure(g: Graph) -> tuple[GraphType, bool]:
+    """One block decomposition of g with each block classified once: the
+    type of g, and whether every diamond block is an endblock."""
     dec = blocks(g)
-    d = i2 = i3 = 0
+    diamonds = []
+    i2 = i3 = 0
     legal = True
     for b in dec.blocks:
         kind = classify_block_in(g, dec, b)
         if kind is BlockKind.DIAMOND:
-            d += 1
+            diamonds.append(b)
         elif kind is BlockKind.K3:
             deg3 = sum(g.degree(v) == 3 for v in b)
             if deg3 == 2:
@@ -164,23 +170,14 @@ def graph_type(g: Graph) -> GraphType:
                 i3 += 1
         elif kind is BlockKind.OTHER:
             legal = False
-    return GraphType(d, i2, i3, blocks_legal=legal)
+    t = GraphType(len(diamonds), i2, i3, blocks_legal=legal)
+    return t, all(b in dec.endblocks() for b in diamonds)
 
 
-def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
-    """classify_block without recomputing the decomposition."""
-    verts = tuple(sorted(block))
-    if verts not in dec.blocks:
-        raise ValueError(f"{verts} is not a block of the graph")
-    k = len(verts)
-    m = edges_within(g, verts)
-    if k == 2:
-        return BlockKind.K2
-    if k == 3 and m == 3:
-        return BlockKind.K3
-    if k == 4 and m == 5:
-        return BlockKind.DIAMOND
-    return BlockKind.OTHER
+def graph_type(g: Graph) -> GraphType:
+    """Type of a connected graph; triangle endblocks (one degree-3 vertex)
+    count toward neither i2 nor i3."""
+    return _structure(g)[0]
 
 
 def s_set(g: Graph) -> frozenset[int]:
@@ -210,21 +207,19 @@ def _check_b_input(g: Graph) -> None:
         raise ValueError("family membership needs a connected graph")
 
 
+def _b0_type(g: Graph) -> GraphType | None:
+    """The type of g if g is in B0, else None."""
+    _check_b_input(g)
+    if any(g.degree(u) > 3 for u in range(g.n)):
+        return None
+    t, diamonds_are_endblocks = _structure(g)
+    return t if t.blocks_legal and diamonds_are_endblocks else None
+
+
 def is_in_b0(g: Graph) -> bool:
     """Connected, order >= 6, max degree <= 3, every block K2/K3/diamond,
     and every diamond block an endblock."""
-    _check_b_input(g)
-    if any(g.degree(u) > 3 for u in range(g.n)):
-        return False
-    dec = blocks(g)
-    ends = set(dec.endblocks())
-    for b in dec.blocks:
-        kind = classify_block_in(g, dec, b)
-        if kind is BlockKind.OTHER:
-            return False
-        if kind is BlockKind.DIAMOND and b not in ends:
-            return False
-    return True
+    return _b0_type(g) is not None
 
 
 def is_in_b(g: Graph) -> bool:
@@ -240,23 +235,17 @@ def is_in_b(g: Graph) -> bool:
 
 def is_in_b_literal(g: Graph) -> bool:
     """B0 membership plus the type list, without the S = empty requirement."""
-    if not is_in_b0(g):
-        return False
-    return graph_type(g).as_tuple() in LEGAL_TYPES
+    t = _b0_type(g)
+    return t is not None and t.as_tuple() in LEGAL_TYPES
 
 
 def claim_checks(g: Graph) -> dict[str, bool]:
     """The structural claims satisfied by subcubic extremal graphs:
     blocks all K2/K3/diamond; diamonds are endblocks; at most 2 diamonds;
     S empty; at most 1 inner triangle."""
-    dec = blocks(g)
-    ends = set(dec.endblocks())
-    kinds = {b: classify_block_in(g, dec, b) for b in dec.blocks}
-    t = graph_type(g)
+    t, diamonds_are_endblocks = _structure(g)
     return {
-        "diamonds_are_endblocks": all(
-            b in ends for b, k in kinds.items() if k is BlockKind.DIAMOND
-        ),
+        "diamonds_are_endblocks": diamonds_are_endblocks,
         "blocks_are_k2_k3_diamond": t.blocks_legal,
         "at_most_two_diamonds": t.d <= 2,
         "s_empty": not s_set(g),

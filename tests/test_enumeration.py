@@ -29,6 +29,12 @@ CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
 SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
 
 
+@pytest.fixture(scope="module")
+def any8():
+    """The any-degree universe at n = 8, the largest in cap, enumerated once."""
+    return enumerate_graphs(8, DegreeConstraint.any_degree())
+
+
 def brute_count(n, constraint):
     """Count isomorphism classes by canonicalizing all 2^C(n,2) graphs."""
     pairs = list(combinations(range(n), 2))
@@ -76,21 +82,20 @@ class TestAgainstBruteForce:
         ]:
             assert count(n, c) == brute_count(n, c)
 
-    def test_cross_mode_filter(self):
+    def test_cross_mode_filter(self, any8):
         # filtering the unconstrained list must reproduce every other mode
-        n = 6
-        everything = enumerate_graphs(n, DegreeConstraint.any_degree())
+        connected = DegreeConstraint.any_degree(connected=True)
         for c in [
-            DegreeConstraint.any_degree(connected=True),
+            connected,
             DegreeConstraint.max_degree(3),
             DegreeConstraint.max_degree(3, connected=True),
             DegreeConstraint.regular(3, connected=True),
         ]:
-            want = sorted(
-                to_graph6(g) for g in everything if c.satisfied_by(g)
-            )
-            got = [to_graph6(g) for g in enumerate_graphs(n, c)]
+            want = sorted(to_graph6(g) for g in any8 if c.satisfied_by(g))
+            got = [to_graph6(g) for g in enumerate_graphs(8, c)]
             assert got == want
+            if c is connected:
+                assert len(got) == 11_117  # OEIS A001349
 
 
 class TestOutputProperties:
@@ -172,8 +177,8 @@ class TestCapabilityLimits:
         with pytest.raises(CapabilityError):
             enumerate_graphs(11, DegreeConstraint.regular(4, connected=True))
 
-    def test_within_limits_ok(self):
-        assert count(8, DegreeConstraint.any_degree()) > 0
+    def test_within_limits_ok(self, any8):
+        assert len(any8) == 12_346  # OEIS A000088
         assert count(12, DegreeConstraint.regular(3, connected=True)) == 85
 
 

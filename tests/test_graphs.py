@@ -50,7 +50,6 @@ class TestFromEdges:
     def test_adjacency_views(self):
         g = from_edges(4, [(0, 2), (2, 3)])
         assert g.neighbors(2) == (0, 3)
-        assert g.adj[2] == frozenset({0, 3})
         assert g.has_edge(2, 0) and not g.has_edge(0, 3)
 
     def test_edit_returns_new_graph(self):
