@@ -22,9 +22,10 @@ the union of per-parent sets (duplicates within one parent come from
 automorphic neighbour sets) and needs no level-wide deduplication. Regular
 targets also prune prefixes that cannot complete to a k-regular graph; every
 induced subgraph of a k-regular graph passes that test, so no target graph
-loses its chain of canonical parents. Deterministic: each level is sorted,
-and the output is sorted by canonical graph6, independent of how the work is
-split across workers.
+loses its chain of canonical parents. Deterministic: a level is the
+concatenation of its parents' children in whatever order the work was split,
+and the output, a set of classes that does not depend on that order, is
+sorted once by canonical graph6.
 """
 
 from __future__ import annotations
@@ -259,31 +260,26 @@ def enumerate_graphs(
     level: list[tuple[int, ...]] = [(0,)]
     if c.mode == MODE_REGULAR and not _regular_prefix_ok((0,), 1, n, c.bound):
         level = []
-    # One pool serves every level of this call; it starts at the first level
-    # large enough to split, so small enumerations start no processes. It
-    # has at most one process per CPU; the chunks do not depend on that.
+    # One pool serves every level from the first with more parents than
+    # workers, so small enumerations start no processes. It has at most one
+    # process per CPU; the chunks do not depend on that.
     pool = None
     try:
         for m in range(1, n):
-            if not level:
-                break
-            if workers > 1 and len(level) > workers:
-                if pool is None:
-                    pool = concurrent.futures.ProcessPoolExecutor(
-                        max_workers=min(workers, os.cpu_count() or 1)
-                    )
-                chunks = [level[i::workers] for i in range(workers)]
-                parts = pool.map(_extend_chunk, [(ch, m, n, c) for ch in chunks])
-                level = sorted(chain.from_iterable(parts))
-            else:
-                level = sorted(_extend_chunk((level, m, n, c)))
+            if pool is None and 1 < workers < len(level):
+                pool = concurrent.futures.ProcessPoolExecutor(
+                    max_workers=min(workers, os.cpu_count() or 1)
+                )
+            mapper, split = (pool.map, workers) if pool is not None else (map, 1)
+            parts = mapper(_extend_chunk, [(level[i::split], m, n, c) for i in range(split)])
+            level = list(chain.from_iterable(parts))
     finally:
         if pool is not None:
             pool.shutdown()
-    out = [Graph(n, masks) for masks in level]
-    out = [g for g in out if c.satisfied_by(g)]
-    out.sort(key=to_graph6)
-    return out
+    # Construction meets c: children of connected targets get an edge, only
+    # vertices below the bound gain one, and at order n the regular prefix
+    # test leaves every degree at the bound.
+    return sorted((Graph(n, masks) for masks in level), key=to_graph6)
 
 
 def count(n: int, c: DegreeConstraint, workers: int = 1) -> int:

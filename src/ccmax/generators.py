@@ -49,13 +49,7 @@ def complete_minus_edge(q: int) -> Graph:
     last two labels."""
     if q < 2:
         raise ValueError(f"need q >= 2, got {q}")
-    edges = [
-        (i, j)
-        for i in range(q)
-        for j in range(i + 1, q)
-        if (i, j) != (q - 2, q - 1)
-    ]
-    return from_edges(q, edges)
+    return from_edges(q, _copies_of_kq_minus_e(q - 1, 1))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
@@ -185,26 +179,21 @@ def family_b(sk: BSkeleton) -> Graph:
     base = 0
     for v in range(t.n):
         deg = t.degree(v)
-        if deg == 1:
-            if sk.leaf_marks[v] == TRIANGLE_MARK:
-                edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
-                ports[v] = [base]
-                base += 3
-            else:
-                # diamond on base..base+3, degree-2 vertices last; bridge at base+2
-                edges += [
-                    (base, base + 1),
-                    (base, base + 2),
-                    (base, base + 3),
-                    (base + 1, base + 2),
-                    (base + 1, base + 3),
-                ]
-                ports[v] = [base + 2]
-                base += 4
-        elif v in sk.inner_marks:
+        if v in sk.inner_marks or sk.leaf_marks.get(v) == TRIANGLE_MARK:
             edges += [(base, base + 1), (base, base + 2), (base + 1, base + 2)]
             ports[v] = [base + i for i in range(deg)]
             base += 3
+        elif deg == 1:
+            # diamond on base..base+3, degree-2 vertices last; bridge at base+2
+            edges += [
+                (base, base + 1),
+                (base, base + 2),
+                (base, base + 3),
+                (base + 1, base + 2),
+                (base + 1, base + 3),
+            ]
+            ports[v] = [base + 2]
+            base += 4
         else:
             ports[v] = [base] * 3
             base += 1
@@ -279,12 +268,27 @@ def standard_skeleton(t, k: int) -> BSkeleton:
 
 def skeleton_from_dict(data: Mapping) -> BSkeleton:
     """Build a BSkeleton from a parsed JSON document with keys
-    edges, leaf_marks (vertex -> mark), inner_marks."""
-    edges = [(int(u), int(v)) for u, v in data["edges"]]
+    edges, leaf_marks (vertex -> mark), inner_marks. A document that is not
+    an object, or a field of the wrong shape, raises ValueError naming it."""
+    if not isinstance(data, Mapping):
+        raise ValueError("skeleton must be a JSON object")
+    try:
+        edges = [(int(u), int(v)) for u, v in data.get("edges")]
+    except (TypeError, ValueError):
+        raise ValueError("skeleton field 'edges' must be a list of [u, v] pairs") from None
     if not edges:
         raise ValueError("skeleton needs at least one edge")
     n = max(max(u, v) for u, v in edges) + 1
+    # a tree on n vertices has n - 1 edges; checked before allocating n
+    if n > len(edges) + 1:
+        raise ValueError("skeleton graph is not a tree")
     tree = from_edges(n, edges)
-    marks = {int(v): str(m) for v, m in dict(data.get("leaf_marks", {})).items()}
-    inner = frozenset(int(v) for v in data.get("inner_marks", ()))
+    try:
+        marks = {int(v): str(m) for v, m in dict(data.get("leaf_marks", {})).items()}
+    except (TypeError, ValueError):
+        raise ValueError("skeleton field 'leaf_marks' must map vertices to marks") from None
+    try:
+        inner = frozenset(int(v) for v in data.get("inner_marks", ()))
+    except (TypeError, ValueError):
+        raise ValueError("skeleton field 'inner_marks' must be a list of vertices") from None
     return BSkeleton(tree=tree, leaf_marks=marks, inner_marks=inner)

@@ -97,16 +97,56 @@ def _jsonify(value):
     return value
 
 
-def _maximum(graphs: list[Graph], bound: Fraction):
-    """Exact C of every graph with its canonical graph6, then the maximum,
-    the sorted argmax, the sorted graphs at the bound and the structural
-    claims of every maximizer."""
-    table = [(graph_cc(g), to_graph6(g), g) for g in graphs]
-    max_found = max((v for v, _, _ in table), default=Fraction(0))
-    extremal = tuple(sorted(s for v, s, _ in table if v == max_found))
-    equality = sorted(s for v, s, _ in table if v == bound)
-    claims = {s: claim_checks(g) for v, s, g in table if v == max_found}
-    return table, max_found, extremal, equality, claims
+def _scan(pairs, bound: Fraction):
+    """The maximum over a stream of (value, key) pairs (0 when it is empty),
+    the sorted keys that attain it, the sorted keys whose value equals
+    bound, and the number of pairs. A key starts with the canonical graph6
+    of the graph it names."""
+    max_found = None
+    argmax: list = []
+    equality: list = []
+    count = 0
+    for value, key in pairs:
+        count += 1
+        if max_found is None or value > max_found:
+            max_found, argmax = value, [key]
+        elif value == max_found:
+            argmax.append(key)
+        if value == bound:
+            equality.append(key)
+    max_found = Fraction(0) if max_found is None else max_found
+    return max_found, sorted(argmax), sorted(equality), count
+
+
+def _report(
+    theorem_id, parameters, bound, max_found, argmax, equality, predicted, examined, details
+) -> TheoremReport:
+    """The verdict of an exhaustive check over examined graphs, from the
+    maximum and the keys of _scan: the maximum stays at or below the bound,
+    and the equality cases are exactly the predicted ones."""
+    characterization_ok = equality == predicted
+    return TheoremReport(
+        theorem_id=theorem_id,
+        parameters=parameters,
+        bound=bound,
+        max_found=max_found,
+        extremal_graphs=tuple(sorted({key[0] for key in argmax})),
+        attained=max_found == bound,
+        characterization_ok=characterization_ok,
+        graphs_examined=examined,
+        passed=max_found <= bound and characterization_ok,
+        details=details,
+    )
+
+
+def _added_edges(graphs: list[Graph]):
+    # (delta, (graph6, (u, v))) for every graph and every non-adjacent pair
+    for g in graphs:
+        s = to_graph6(g)
+        for u in range(g.n):
+            for v in range(u + 1, g.n):
+                if not g.has_edge(u, v):
+                    yield edge_add_delta(g, u, v), (s, (u, v))
 
 
 def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
@@ -122,28 +162,20 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
         raise ValueError(f"need n >= k + 2, got n={n}")
     bound = theorem1_bound(k)
     graphs = enumerate_graphs(n, DegreeConstraint.regular(k, connected=True), workers)
-    table, max_found, extremal, equality, claims = _maximum(graphs, bound)
+    values = ((graph_cc(g), (to_graph6(g), g)) for g in graphs)
+    max_found, argmax, equality, _ = _scan(values, bound)
+    equality = [s for s, _ in equality]
     if n % (k + 1) == 0:
         predicted = [canonical_form(g_kl(k, n // (k + 1))).g6]
     else:
         predicted = []
-    characterization_ok = equality == predicted
-    attained = max_found == bound and bool(table)
-    return TheoremReport(
-        theorem_id="T1",
-        parameters={"k": k, "n": n},
-        bound=bound,
-        max_found=max_found,
-        extremal_graphs=extremal,
-        attained=attained,
-        characterization_ok=characterization_ok,
-        graphs_examined=len(graphs),
-        passed=max_found <= bound and characterization_ok,
-        details={
-            "predicted_extremal": predicted,
-            "equality_graphs": equality,
-            "maximizer_claims": claims,
-        },
+    details = {
+        "predicted_extremal": predicted,
+        "equality_graphs": equality,
+        "maximizer_claims": {s: claim_checks(g) for s, g in argmax},
+    }
+    return _report(
+        "T1", {"k": k, "n": n}, bound, max_found, argmax, equality, predicted, len(graphs), details
     )
 
 
@@ -160,29 +192,20 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     graphs = enumerate_graphs(
         n, DegreeConstraint.max_degree(3, connected=True), workers
     )
-    table, max_found, extremal, equality, claims = _maximum(graphs, bound)
+    values = ((graph_cc(g), (to_graph6(g), g)) for g in graphs)
+    max_found, argmax, equality, _ = _scan(values, bound)
+    equality = [s for s, _ in equality]
     # B is contained in literal B, so is_in_b runs on the literal members only
-    literal = [(s, g) for _, s, g in table if is_in_b_literal(g)]
-    b_literal = sorted(s for s, _ in literal)
+    literal = [(to_graph6(g), g) for g in graphs if is_in_b_literal(g)]
     b_members = sorted(s for s, g in literal if is_in_b(g))
-    characterization_ok = equality == b_members
-    attained = max_found == bound
-    return TheoremReport(
-        theorem_id="T3",
-        parameters={"n": n},
-        bound=bound,
-        max_found=max_found,
-        extremal_graphs=extremal,
-        attained=attained,
-        characterization_ok=characterization_ok,
-        graphs_examined=len(graphs),
-        passed=max_found <= bound and characterization_ok,
-        details={
-            "b_members": b_members,
-            "b_members_literal_type_reading": b_literal,
-            "equality_graphs": equality,
-            "maximizer_claims": claims,
-        },
+    details = {
+        "b_members": b_members,
+        "b_members_literal_type_reading": sorted(s for s, _ in literal),
+        "equality_graphs": equality,
+        "maximizer_claims": {s: claim_checks(g) for s, g in argmax},
+    }
+    return _report(
+        "T3", {"n": n}, bound, max_found, argmax, equality, b_members, len(graphs), details
     )
 
 
@@ -197,57 +220,29 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
         raise ValueError(f"need n >= 3, got {n}")
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
-    max_found = Fraction(-1)
-    argmax: set[tuple[str, tuple[int, int]]] = set()
-    equality: set[tuple[str, tuple[int, int]]] = set()
-    pairs_examined = 0
-    for g in graphs:
-        s = to_graph6(g)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if g.has_edge(u, v):
-                    continue
-                pairs_examined += 1
-                delta = edge_add_delta(g, u, v)
-                if delta > max_found:
-                    max_found = delta
-                    argmax = {(s, (u, v))}
-                elif delta == max_found:
-                    argmax.add((s, (u, v)))
-                if delta == bound:
-                    equality.add((s, (u, v)))
+    max_found, argmax, equality, pairs_examined = _scan(_added_edges(graphs), bound)
     k2_rep = canonical_form(complete_bipartite(2, n - 2)).g6
     rep = next((g for g in graphs if to_graph6(g) == k2_rep), None)
     if rep is None:
         raise ValueError(
             f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
         )
-    predicted = {
+    predicted = [
         (k2_rep, (u, v))
         for u in range(rep.n)
         for v in range(u + 1, rep.n)
         if not rep.has_edge(u, v)
         and rep.degree(u) == n - 2
         and rep.degree(v) == n - 2
+    ]
+    details = {
+        "pairs_examined": pairs_examined,
+        "max_pairs": argmax,
+        "equality_pairs": equality,
+        "predicted_pairs": predicted,
     }
-    characterization_ok = equality == predicted
-    attained = max_found == bound
-    return TheoremReport(
-        theorem_id="T4",
-        parameters={"n": n},
-        bound=bound,
-        max_found=max_found,
-        extremal_graphs=tuple(sorted({s for s, _ in argmax})),
-        attained=attained,
-        characterization_ok=characterization_ok,
-        graphs_examined=len(graphs),
-        passed=max_found <= bound and attained and characterization_ok,
-        details={
-            "pairs_examined": pairs_examined,
-            "max_pairs": sorted(argmax),
-            "equality_pairs": sorted(equality),
-            "predicted_pairs": sorted(predicted),
-        },
+    return _report(
+        "T4", {"n": n}, bound, max_found, argmax, equality, predicted, len(graphs), details
     )
 
 

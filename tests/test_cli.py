@@ -127,11 +127,32 @@ class TestGen:
         code, _, err = run(capsys, "gen", "gkl", "-k", "2", "-l", "2")
         assert code == 1 and "error:" in err
 
-    def test_bad_skeleton(self, capsys, tmp_path):
+    @pytest.mark.parametrize(
+        "doc, named",
+        [
+            ({"edges": [[0, 1], [1, 2]], "leaf_marks": {}}, "leaf_marks"),
+            ({}, "edges"),
+            ([], "object"),
+            ({"edges": 5}, "edges"),
+            ({"edges": [[0, 1], [1, 2]], "leaf_marks": [1, 2]}, "leaf_marks"),
+            ({"edges": [[0, 1], [1, 2]], "leaf_marks": {}, "inner_marks": 7}, "inner_marks"),
+            ({"edges": [[0, 10**12]]}, "tree"),
+        ],
+        ids=[
+            "unmarked-leaves",
+            "no-edges",
+            "not-an-object",
+            "edges-not-a-list",
+            "leaf-marks-not-an-object",
+            "inner-marks-not-a-list",
+            "far-vertex",
+        ],
+    )
+    def test_bad_skeleton(self, capsys, tmp_path, doc, named):
         f = tmp_path / "sk.json"
-        f.write_text(json.dumps({"edges": [[0, 1], [1, 2]], "leaf_marks": {}}))
+        f.write_text(json.dumps(doc))
         code, _, err = run(capsys, "gen", "family-b", "--skeleton", str(f))
-        assert code == 1 and "error:" in err
+        assert code == 1 and "error:" in err and named in err
 
 
 class TestClassify:

@@ -199,3 +199,20 @@ class TestReportShape:
         a = verify_theorem1(3, 8, workers=1).to_json()
         b = verify_theorem1(3, 8, workers=2).to_json()
         assert a == b
+
+
+@pytest.mark.parametrize(
+    "name, replacement, verify, characterization_ok",
+    [
+        ("theorem1_bound", lambda k: Fraction(1, 4), lambda: verify_theorem1(3, 6), True),
+        ("g_kl", lambda k, length: complete_bipartite(4, 4), lambda: verify_theorem1(3, 8), False),
+        ("is_in_b", lambda g: False, lambda: verify_theorem23(6), False),
+        ("theorem4_bound", lambda n: Fraction(1, 2), lambda: verify_theorem4(5), False),
+    ],
+    ids=["T1-bound", "T1-characterization", "T23-membership", "T4-bound"],
+)
+def test_failing_verdict(monkeypatch, name, replacement, verify, characterization_ok):
+    monkeypatch.setattr(harness, name, replacement)
+    r = verify()
+    assert r.passed is False
+    assert r.characterization_ok is characterization_ok
