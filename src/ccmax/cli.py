@@ -34,15 +34,7 @@ from .harness import (
     verify_theorem23,
     verify_theorem4,
 )
-from .structure import (
-    blocks,
-    classify_block_in,
-    graph_type,
-    is_in_b,
-    is_in_b0,
-    is_in_b_literal,
-    s_set,
-)
+from .structure import _structure, s_set
 
 
 def _open_input(path: str | None) -> TextIO:
@@ -88,15 +80,11 @@ def _cmd_delta(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "gkl":
-        g = g_kl(args.k, args.l)
-    elif args.family == "caveman":
-        g = caveman(args.k, args.l)
-    elif args.family == "caveman-rewired":
-        g = caveman_rewired(args.k, args.l)
-    else:
+    if args.family == "family-b":
         with open(args.skeleton, encoding="utf-8") as fh:
             g = family_b(skeleton_from_dict(json.load(fh)))
+    else:
+        g = args.make(args.k, args.l)
     print(to_graph6(g))
     return 0
 
@@ -104,26 +92,26 @@ def _cmd_gen(args) -> int:
 def _cmd_classify(args) -> int:
     failed = False
     for g in _read_graphs(args.file):
-        s = to_graph6(g)
+        g6 = to_graph6(g)
         try:
-            dec = blocks(g)
+            st = _structure(g)
         except ValueError as exc:
-            print(json.dumps({"graph6": s, "error": str(exc)}))
+            print(json.dumps({"graph6": g6, "error": str(exc)}))
             failed = True
             continue
-        t = graph_type(g)
+        s = s_set(g)
         obj = {
-            "graph6": s,
+            "graph6": g6,
             "n": g.n,
-            "blocks": [list(b) for b in dec.blocks],
-            "block_kinds": [classify_block_in(g, dec, b).value for b in dec.blocks],
-            "cut_vertices": sorted(dec.cut_vertices),
-            "type": [t.d, t.i2, t.i3],
-            "blocks_legal": t.blocks_legal,
-            "s_set": sorted(s_set(g)),
-            "in_b0": is_in_b0(g) if g.n >= 6 else None,
-            "in_b": is_in_b(g) if g.n >= 6 else None,
-            "in_b_literal": is_in_b_literal(g) if g.n >= 6 else None,
+            "blocks": [list(b) for b in st.dec.blocks],
+            "block_kinds": [kind.value for kind in st.kinds],
+            "cut_vertices": sorted(st.dec.cut_vertices),
+            "type": list(st.type),
+            "blocks_legal": st.type.blocks_legal,
+            "s_set": sorted(s),
+            "in_b0": st.in_b0,
+            "in_b": st.in_b(s),
+            "in_b_literal": st.in_b_literal,
         }
         print(json.dumps(obj))
     return 1 if failed else 0
@@ -182,11 +170,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a named family member")
     gsub = p.add_subparsers(dest="family", required=True)
-    for fam in ("gkl", "caveman", "caveman-rewired"):
+    for fam, make in (("gkl", g_kl), ("caveman", caveman), ("caveman-rewired", caveman_rewired)):
         q = gsub.add_parser(fam)
         q.add_argument("-k", type=int, required=True)
         q.add_argument("-l", type=int, required=True)
-        q.set_defaults(func=_cmd_gen)
+        q.set_defaults(func=_cmd_gen, make=make)
     q = gsub.add_parser("family-b")
     q.add_argument(
         "--skeleton",

@@ -74,19 +74,23 @@ def _copies_of_kq_minus_e(k: int, length: int) -> list[tuple[int, int]]:
     return edges
 
 
+def _ring_of_copies(k: int, length: int, entry: int) -> Graph:
+    # length copies of K_{k+1}-e in a cycle, local label k of each copy
+    # joined to local label entry of the next
+    if length < 2:
+        raise ValueError(f"need l >= 2, got {length}")
+    q = k + 1
+    edges = _copies_of_kq_minus_e(k, length)
+    edges += [(c * q + k, (c + 1) % length * q + entry) for c in range(length)]
+    return from_edges(length * q, edges)
+
+
 def g_kl(k: int, length: int) -> Graph:
     """The k-regular graph G(k, l): l copies of K_{k+1}-e arranged cyclically,
     joined only at their degree-(k-1) vertices (local labels k-1 and k)."""
     if k < 3:
         raise ValueError(f"need k >= 3, got {k}")
-    if length < 2:
-        raise ValueError(f"need l >= 2, got {length}")
-    q = k + 1
-    edges = _copies_of_kq_minus_e(k, length)
-    for c in range(length):
-        nxt = (c + 1) % length
-        edges.append((c * q + k, nxt * q + k - 1))
-    return from_edges(length * q, edges)
+    return _ring_of_copies(k, length, k - 1)
 
 
 def caveman(k: int, length: int) -> Graph:
@@ -95,14 +99,7 @@ def caveman(k: int, length: int) -> Graph:
     label k) to a degree-k vertex (local label 0)."""
     if k < 2:
         raise ValueError(f"need k >= 2, got {k}")
-    if length < 2:
-        raise ValueError(f"need l >= 2, got {length}")
-    q = k + 1
-    edges = _copies_of_kq_minus_e(k, length)
-    for c in range(length):
-        nxt = (c + 1) % length
-        edges.append((c * q + k, nxt * q))
-    return from_edges(length * q, edges)
+    return _ring_of_copies(k, length, 0)
 
 
 def caveman_rewired(k: int, length: int) -> Graph:
@@ -137,9 +134,7 @@ def _check_skeleton(sk: BSkeleton) -> None:
     t = sk.tree
     if t.n < 2:
         raise ValueError("skeleton tree needs at least 2 vertices")
-    if t.m != t.n - 1:
-        raise ValueError("skeleton graph is not a tree")
-    if not is_connected(t):
+    if t.m != t.n - 1 or not is_connected(t):
         raise ValueError("skeleton graph is not a tree")
     if any(t.degree(v) > 3 for v in range(t.n)):
         raise ValueError("skeleton tree must have maximum degree 3")
@@ -197,10 +192,7 @@ def family_b(sk: BSkeleton) -> Graph:
         else:
             ports[v] = [base] * 3
             base += 1
-    for u, v in t.edges():
-        pu = ports[u].pop(0)
-        pv = ports[v].pop(0)
-        edges.append((pu, pv))
+    edges += [(ports[u].pop(0), ports[v].pop(0)) for u, v in t.edges()]
     return from_edges(base, edges)
 
 
@@ -266,14 +258,27 @@ def standard_skeleton(t, k: int) -> BSkeleton:
     return BSkeleton(tree=tree, leaf_marks=marks, inner_marks=frozenset(inner_marks))
 
 
+def _typed(x, kind):
+    # x if it is a kind; an int must not be a bool (JSON true is no vertex)
+    if not isinstance(x, kind) or kind is int and isinstance(x, bool):
+        raise TypeError(x)
+    return x
+
+
+def _vertex_key(x) -> int:
+    # a vertex as a JSON object key (a string of decimal digits) or an int
+    return int(x) if isinstance(x, str) and x.isascii() and x.isdecimal() else _typed(x, int)
+
+
 def skeleton_from_dict(data: Mapping) -> BSkeleton:
-    """Build a BSkeleton from a parsed JSON document with keys
-    edges, leaf_marks (vertex -> mark), inner_marks. A document that is not
-    an object, or a field of the wrong shape, raises ValueError naming it."""
+    """Build a BSkeleton from a parsed JSON object: edges, a list of integer
+    pairs [u, v]; leaf_marks, an object from vertex to mark string;
+    inner_marks, a list of integers. Any other shape raises ValueError
+    naming the field."""
     if not isinstance(data, Mapping):
         raise ValueError("skeleton must be a JSON object")
     try:
-        edges = [(int(u), int(v)) for u, v in data.get("edges")]
+        edges = [(_typed(u, int), _typed(v, int)) for u, v in data.get("edges")]
     except (TypeError, ValueError):
         raise ValueError("skeleton field 'edges' must be a list of [u, v] pairs") from None
     if not edges:
@@ -284,11 +289,12 @@ def skeleton_from_dict(data: Mapping) -> BSkeleton:
         raise ValueError("skeleton graph is not a tree")
     tree = from_edges(n, edges)
     try:
-        marks = {int(v): str(m) for v, m in dict(data.get("leaf_marks", {})).items()}
-    except (TypeError, ValueError):
+        leaf_marks = _typed(data.get("leaf_marks", {}), Mapping)
+        marks = {_vertex_key(v): _typed(m, str) for v, m in leaf_marks.items()}
+    except TypeError:
         raise ValueError("skeleton field 'leaf_marks' must map vertices to marks") from None
     try:
-        inner = frozenset(int(v) for v in data.get("inner_marks", ()))
-    except (TypeError, ValueError):
+        inner = frozenset(_typed(v, int) for v in data.get("inner_marks", ()))
+    except TypeError:
         raise ValueError("skeleton field 'inner_marks' must be a list of vertices") from None
     return BSkeleton(tree=tree, leaf_marks=marks, inner_marks=inner)

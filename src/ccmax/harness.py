@@ -68,7 +68,7 @@ class TheoremReport:
 
     def summary_lines(self) -> list[str]:
         params = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
-        lines = [
+        return [
             f"theorem {self.theorem_id} ({params})",
             f"graphs examined: {self.graphs_examined}",
             f"bound:     {self.bound} = {decimal_str(self.bound)}",
@@ -78,7 +78,6 @@ class TheoremReport:
             f"characterization: {'ok' if self.characterization_ok else 'MISMATCH'}",
             "PASS" if self.passed else "FAIL",
         ]
-        return lines
 
 
 def _jsonify(value):

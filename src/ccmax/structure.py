@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .graphs import Graph, edges_within, is_connected, triangles_at
 
@@ -100,6 +101,10 @@ def blocks(g: Graph) -> BlockDecomposition:
     return BlockDecomposition(tuple(out), frozenset(cuts))
 
 
+# block kind by (vertices, edges); a block on two vertices is a bridge
+_KINDS = {(2, 1): BlockKind.K2, (3, 3): BlockKind.K3, (4, 5): BlockKind.DIAMOND}
+
+
 def classify_block(g: Graph, block) -> BlockKind:
     """K2/K3/diamond classification of one block of g."""
     return classify_block_in(g, blocks(g), block)
@@ -110,15 +115,7 @@ def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
     verts = tuple(sorted(block))
     if verts not in dec.blocks:
         raise ValueError(f"{verts} is not a block of the graph")
-    k = len(verts)
-    m = edges_within(g, verts)
-    if k == 2:
-        return BlockKind.K2
-    if k == 3 and m == 3:
-        return BlockKind.K3
-    if k == 4 and m == 5:
-        return BlockKind.DIAMOND
-    return BlockKind.OTHER
+    return _KINDS.get((len(verts), edges_within(g, verts)), BlockKind.OTHER)
 
 
 @dataclass(frozen=True)
@@ -151,33 +148,43 @@ LEGAL_TYPES = (
 )
 
 
-def _structure(g: Graph) -> tuple[GraphType, bool]:
-    """One block decomposition of g with each block classified once: the
-    type of g, and whether every diamond block is an endblock."""
+class _Structure(NamedTuple):
+    """One block decomposition of a connected graph with each block
+    classified once, and the B0 and literal-B verdicts read from it (None
+    below order 6, where membership is not defined)."""
+
+    dec: BlockDecomposition
+    kinds: tuple[BlockKind, ...]
+    type: GraphType
+    diamonds_are_endblocks: bool
+    in_b0: bool | None
+    in_b_literal: bool | None
+
+    def in_b(self, s: frozenset[int]) -> bool | None:
+        """B membership given s_set(g): literal B and S empty; None stays None."""
+        return self.in_b_literal and not s
+
+
+def _structure(g: Graph) -> _Structure:
     dec = blocks(g)
-    diamonds = []
-    i2 = i3 = 0
-    legal = True
-    for b in dec.blocks:
-        kind = classify_block_in(g, dec, b)
-        if kind is BlockKind.DIAMOND:
-            diamonds.append(b)
-        elif kind is BlockKind.K3:
-            deg3 = sum(g.degree(v) == 3 for v in b)
-            if deg3 == 2:
-                i2 += 1
-            elif deg3 == 3:
-                i3 += 1
-        elif kind is BlockKind.OTHER:
-            legal = False
-    t = GraphType(len(diamonds), i2, i3, blocks_legal=legal)
-    return t, all(b in dec.endblocks() for b in diamonds)
+    kinds = tuple([classify_block_in(g, dec, b) for b in dec.blocks])
+    diamonds = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.DIAMOND]
+    triangles = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.K3]
+    deg3 = [sum(g.degree(v) == 3 for v in b) for b in triangles]
+    legal = BlockKind.OTHER not in kinds
+    t = GraphType(len(diamonds), deg3.count(2), deg3.count(3), blocks_legal=legal)
+    diamonds_are_endblocks = not diamonds or set(diamonds) <= set(dec.endblocks())
+    in_b0 = in_b_literal = None
+    if g.n >= 6:
+        in_b0 = legal and diamonds_are_endblocks and all(g.degree(u) <= 3 for u in range(g.n))
+        in_b_literal = in_b0 and t.as_tuple() in LEGAL_TYPES
+    return _Structure(dec, kinds, t, diamonds_are_endblocks, in_b0, in_b_literal)
 
 
 def graph_type(g: Graph) -> GraphType:
     """Type of a connected graph; triangle endblocks (one degree-3 vertex)
     count toward neither i2 nor i3."""
-    return _structure(g)[0]
+    return _structure(g).type
 
 
 def s_set(g: Graph) -> frozenset[int]:
@@ -200,26 +207,23 @@ def v_partition(g: Graph, k: int) -> dict[int, frozenset[int]]:
     return {i: frozenset(vs) for i, vs in sorted(parts.items())}
 
 
-def _check_b_input(g: Graph) -> None:
+def _b_structure(g: Graph) -> _Structure | None:
+    """_structure(g) for a membership test; None, with no decomposition,
+    when a degree above 3 rules out B0."""
     if g.n < 6:
         raise ValueError(f"family membership needs order >= 6, got {g.n}")
     if not is_connected(g):
         raise ValueError("family membership needs a connected graph")
-
-
-def _b0_type(g: Graph) -> GraphType | None:
-    """The type of g if g is in B0, else None."""
-    _check_b_input(g)
     if any(g.degree(u) > 3 for u in range(g.n)):
         return None
-    t, diamonds_are_endblocks = _structure(g)
-    return t if t.blocks_legal and diamonds_are_endblocks else None
+    return _structure(g)
 
 
 def is_in_b0(g: Graph) -> bool:
     """Connected, order >= 6, max degree <= 3, every block K2/K3/diamond,
     and every diamond block an endblock."""
-    return _b0_type(g) is not None
+    st = _b_structure(g)
+    return st is not None and st.in_b0
 
 
 def is_in_b(g: Graph) -> bool:
@@ -235,17 +239,18 @@ def is_in_b(g: Graph) -> bool:
 
 def is_in_b_literal(g: Graph) -> bool:
     """B0 membership plus the type list, without the S = empty requirement."""
-    t = _b0_type(g)
-    return t is not None and t.as_tuple() in LEGAL_TYPES
+    st = _b_structure(g)
+    return st is not None and st.in_b_literal
 
 
 def claim_checks(g: Graph) -> dict[str, bool]:
     """The structural claims satisfied by subcubic extremal graphs:
     blocks all K2/K3/diamond; diamonds are endblocks; at most 2 diamonds;
     S empty; at most 1 inner triangle."""
-    t, diamonds_are_endblocks = _structure(g)
+    st = _structure(g)
+    t = st.type
     return {
-        "diamonds_are_endblocks": diamonds_are_endblocks,
+        "diamonds_are_endblocks": st.diamonds_are_endblocks,
         "blocks_are_k2_k3_diamond": t.blocks_legal,
         "at_most_two_diamonds": t.d <= 2,
         "s_empty": not s_set(g),

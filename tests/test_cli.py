@@ -5,8 +5,9 @@ import json
 
 import pytest
 
-from ccmax import canonical_form, from_edges, g_kl, parse_graph6, to_graph6
+from ccmax import canonical_form, cli, from_edges, g_kl, parse_graph6, structure, to_graph6
 from ccmax.cli import main
+from ccmax.structure import blocks
 
 
 def run(capsys, *argv):
@@ -137,6 +138,11 @@ class TestGen:
             ({"edges": [[0, 1], [1, 2]], "leaf_marks": [1, 2]}, "leaf_marks"),
             ({"edges": [[0, 1], [1, 2]], "leaf_marks": {}, "inner_marks": 7}, "inner_marks"),
             ({"edges": [[0, 10**12]]}, "tree"),
+            ({"edges": [[0, 1.9]], "leaf_marks": {"0": "triangle", "1": "triangle"}}, "edges"),
+            ({"edges": [[0, True]], "leaf_marks": {"0": "triangle", "1": "triangle"}}, "edges"),
+            ({"edges": [[0, "1"]], "leaf_marks": {"0": "triangle", "1": "triangle"}}, "edges"),
+            ({"edges": [[0, 1]], "leaf_marks": [[0, "triangle"], ["1", "triangle"]]}, "leaf_marks"),
+            ({"edges": [[0, 1]], "leaf_marks": {"0": "triangle", "1": 3}}, "leaf_marks"),
         ],
         ids=[
             "unmarked-leaves",
@@ -146,6 +152,11 @@ class TestGen:
             "leaf-marks-not-an-object",
             "inner-marks-not-a-list",
             "far-vertex",
+            "float-vertex",
+            "bool-vertex",
+            "numeric-string-vertex",
+            "leaf-marks-pair-list",
+            "non-string-mark",
         ],
     )
     def test_bad_skeleton(self, capsys, tmp_path, doc, named):
@@ -184,6 +195,21 @@ class TestClassify:
         obj = json.loads(out)
         assert code == 0
         assert obj["in_b0"] is None and obj["in_b"] is None
+
+    def test_one_decomposition_per_graph(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g.n)
+            return blocks(g)
+
+        # wherever the name was imported from ccmax.structure
+        for module in (structure, cli):
+            monkeypatch.setattr(module, "blocks", counting, raising=False)
+        monkeypatch.setattr("sys.stdin", io.StringIO("EtPG\n"))  # order 6, in B
+        code, out, _ = run(capsys, "classify")
+        assert code == 0 and json.loads(out)["in_b"] is True
+        assert calls == [6]
 
     def test_disconnected_reports_error_line(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO("B_\n"))  # K2 + isolated

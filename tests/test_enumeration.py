@@ -4,6 +4,7 @@ import concurrent.futures
 import os
 from itertools import combinations
 
+import enum_reference
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from ccmax import (
     is_connected,
     to_graph6,
 )
+from ccmax.enumeration import _SPLIT
 
 # OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
 # (connected 4-regular graphs)
@@ -27,6 +29,32 @@ CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
 # connected graphs of maximum degree 3: derived from this code, not from a
 # published table
 SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
+
+
+def fake_pool(monkeypatch):
+    """Replace the process pool by an in-process executor on a 2-CPU
+    machine, so no process starts. Returns two lists it appends to: the
+    max_workers of each construction, and the share sizes of each map."""
+    started, dealt = [], []
+
+    class FakeExecutor:
+        def __init__(self, max_workers):
+            started.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, shares, *rest):
+            shares = list(shares)
+            dealt.append([len(share) for share in shares])
+            return map(fn, shares, *rest)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    return started, dealt
 
 
 @pytest.fixture(scope="module")
@@ -98,6 +126,20 @@ class TestAgainstBruteForce:
                 assert len(got) == 11_117  # OEIS A001349
 
 
+def test_any_degree_equals_networkx_atlas():
+    # The graph atlas lists every graph up to order 7 (1,253 with the empty
+    # one) and shares no code with ccmax.
+    nx = pytest.importorskip("networkx")
+    atlas = {}
+    for h in nx.graph_atlas_g():
+        g = from_edges(h.number_of_nodes(), list(h.edges()))
+        atlas.setdefault(g.n, []).append(canonical_form(g).g6)
+    for n in range(1, 8):
+        got = [to_graph6(g) for g in enumerate_graphs(n, DegreeConstraint.any_degree())]
+        assert len(got) == len(atlas[n]) == ALL_GRAPHS[n]
+        assert set(got) == set(atlas[n]) and len(set(got)) == len(got)
+
+
 class TestOutputProperties:
     def test_sorted_and_distinct(self):
         out = [to_graph6(g) for g in enumerate_graphs(6, DegreeConstraint.any_degree())]
@@ -126,28 +168,46 @@ class TestOutputProperties:
 
     @pytest.mark.parametrize("workers", [5, 10**6])
     def test_pool_size_bounded_by_cpus(self, monkeypatch, workers):
-        # A fake executor stands in for the process pool, so no process
-        # starts; the chunks it receives are those of the real pool.
-        started = []
-
-        class FakeExecutor:
-            def __init__(self, max_workers):
-                started.append(max_workers)
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-            def shutdown(self):
-                pass
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        started, _ = fake_pool(monkeypatch)
         c = DegreeConstraint.max_degree(3, connected=True)
-        seq = [to_graph6(g) for g in enumerate_graphs(7, c, workers=1)]
-        par = [to_graph6(g) for g in enumerate_graphs(7, c, workers=workers)]
+        seq = [to_graph6(g) for g in enumerate_graphs(9, c, workers=1)]
+        par = [to_graph6(g) for g in enumerate_graphs(9, c, workers=workers)]
         assert par == seq
-        # one pool per call, once some level has more graphs than workers
+        # one pool per call, once some level has _SPLIT parents per worker
+        # (the 194 at order 8 for 5 workers, never for 10**6)
         assert started == ([2] if workers == 5 else [])
+
+    # Parents at each order below n. Cubic-connected n=8 never has more
+    # than 18, so it stays serial; in the others the split falls at
+    # different orders, or not at all, as the number of workers grows
+    # (with _SPLIT = 16, subcubic-connected n=9 at 4 workers meets the
+    # threshold exactly: 64 parents at order 7).
+    @pytest.mark.parametrize(
+        "n,c,levels",
+        [
+            (8, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 9, 18, 10]),
+            (6, DegreeConstraint.any_degree(), [1, 2, 4, 11, 34]),
+            (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 117, 63]),
+            (9, DegreeConstraint.max_degree(3, connected=True), [1, 1, 2, 6, 10, 29, 64, 194]),
+        ],
+        ids=["cubic-connected-8", "any-6", "cubic-connected-10", "subcubic-connected-9"],
+    )
+    def test_split_point_keeps_masks_and_order(self, monkeypatch, n, c, levels):
+        started, dealt = fake_pool(monkeypatch)
+        want = [g._masks for g in enum_reference.enumerate_graphs(n, c)]
+        for workers in (1, 2, 3, 4, 7):
+            started.clear()
+            dealt.clear()
+            got = [g._masks for g in enumerate_graphs(n, c, workers=workers)]
+            assert got == want, workers
+            split = next((k for k in levels if workers > 1 and k >= _SPLIT * workers), None)
+            if split is None:
+                assert started == dealt == []
+            else:
+                assert started == [min(workers, 2)]
+                assert dealt == [[len(range(i, split, workers)) for i in range(workers)]]
+        if n == 8:
+            assert max(levels) < _SPLIT * 2
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 6), st.booleans())
