@@ -2,9 +2,10 @@
 """Run every exhaustive verification at full desk scale and print a summary.
 
 Exit status is 0 only if all checks pass. On a 2-core machine with Python
-3.11 the 29 cells take about 17-18 s at 1 worker and 16 s at 2. --workers
-splits each large enumeration once across processes; T4 n=8, most of the
-time, is exact clustering arithmetic that it does not spread.
+3.11 the 30 cells take about 30-32 s at 1 worker and 25-28 s at 2. Two
+cells are most of it: T23 n=12 (10-14 s, mostly enumeration) and
+T4 n=8 (12 s, exact clustering arithmetic). --workers splits each large
+enumeration once across processes; it does not spread T4's arithmetic.
 """
 
 import argparse
@@ -27,7 +28,7 @@ def main() -> int:
     jobs = []
     for k, n in ((3, 6), (3, 8), (3, 10), (3, 12), (4, 10)):
         jobs.append(lambda k=k, n=n: verify_theorem1(k, n, workers=args.workers))
-    for n in (6, 7, 8, 9, 10, 11):
+    for n in (6, 7, 8, 9, 10, 11, 12):
         jobs.append(lambda n=n: verify_theorem23(n, workers=args.workers))
     for n in (3, 4, 5, 6, 7, 8):
         jobs.append(lambda n=n: verify_theorem4(n, workers=args.workers))

@@ -8,10 +8,11 @@ the sets S and V_i, and membership tests for the extremal families B0/B.
 from __future__ import annotations
 
 import enum
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graphs import Graph, edges_within, is_connected, triangles_at
+from .graphs import Graph, _bits, edges_within, is_connected, triangles_at
 
 
 class BlockKind(enum.Enum):
@@ -40,65 +41,45 @@ class BlockDecomposition:
 
 
 def blocks(g: Graph) -> BlockDecomposition:
-    """Biconnected components of a connected graph, by Hopcroft-Tarjan."""
-    if not is_connected(g):
-        raise ValueError("block decomposition requires a connected graph")
-    n = g.n
-    num = [0] * n  # DFS preorder index, 1-based; 0 = unvisited
-    low = [0] * n
-    parent = [-1] * n
-    counter = 0
-    stack: list[tuple[int, int]] = []  # edge stack
+    """Biconnected components of a connected graph (Hopcroft-Tarjan), by one
+    iterative DFS over the adjacency masks from vertex 0. A cut vertex is a
+    vertex that lies in two or more blocks."""
+    if g.n == 0:
+        return BlockDecomposition((), frozenset())
+    num = [0] * g.n  # DFS preorder index, 1-based; 0 = unvisited
+    num[0] = count = 1
+    low = num[:]
+    seen = [0]  # visited vertices not yet closed into a block, in preorder
+    path = [(0, -1, _bits(g._masks[0]))]  # (vertex, DFS parent, neighbours left)
     out: list[tuple[int, ...]] = []
-    cuts: set[int] = set()
-
-    def emit(u: int, v: int) -> None:
-        verts: set[int] = set()
-        while stack:
-            e = stack.pop()
-            verts.update(e)
-            if e == (u, v):
+    while path:
+        u, p, rest = path[-1]
+        for v in rest:
+            if not num[v]:
+                count += 1
+                num[v] = low[v] = count
+                seen.append(v)
+                path.append((v, u, _bits(g._masks[v])))
                 break
-        out.append(tuple(sorted(verts)))
-
-    def dfs(root: int) -> None:
-        nonlocal counter
-        counter += 1
-        num[root] = low[root] = counter
-        work = [(root, iter(g.neighbors(root)))]
-        root_children = 0
-        while work:
-            u, it = work[-1]
-            advanced = False
-            for v in it:
-                if num[v] == 0:
-                    stack.append((u, v))
-                    parent[v] = u
-                    counter += 1
-                    num[v] = low[v] = counter
-                    work.append((v, iter(g.neighbors(v))))
-                    if u == root:
-                        root_children += 1
-                    advanced = True
-                    break
-                if v != parent[u] and num[v] < num[u]:
-                    stack.append((u, v))
-                    low[u] = min(low[u], num[v])
-            if not advanced:
-                work.pop()
-                if work:
-                    p = work[-1][0]
-                    low[p] = min(low[p], low[u])
-                    if low[u] >= num[p]:
-                        emit(p, u)
-                        if p != root:
-                            cuts.add(p)
-        if root_children >= 2:
-            cuts.add(root)
-
-    if n > 0:
-        dfs(0)
-    return BlockDecomposition(tuple(out), frozenset(cuts))
+            # v is an ancestor (p included) or a descendant; the >= test
+            # below holds whether or not low[u] counts the tree edge to p
+            if num[v] < low[u]:
+                low[u] = num[v]
+        else:
+            path.pop()
+            if p < 0:
+                continue
+            if low[u] < low[p]:
+                low[p] = low[u]
+            if low[u] >= num[p]:  # nothing below u reaches above p: close a block
+                block = [p]
+                while block[-1] != u:
+                    block.append(seen.pop())
+                out.append(tuple(sorted(block)))
+    if count < g.n:
+        raise ValueError("block decomposition requires a connected graph")
+    lies_in = Counter(v for b in out for v in b)
+    return BlockDecomposition(tuple(out), frozenset(v for v, k in lies_in.items() if k > 1))
 
 
 # block kind by (vertices, edges); a block on two vertices is a bridge
@@ -234,7 +215,8 @@ def is_in_b(g: Graph) -> bool:
     but fall below the extremal value. is_in_b_literal gives the type-only
     reading for diagnostics.
     """
-    return is_in_b_literal(g) and not s_set(g)
+    st = _b_structure(g)
+    return st is not None and st.in_b(s_set(g))
 
 
 def is_in_b_literal(g: Graph) -> bool:

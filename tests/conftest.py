@@ -6,7 +6,7 @@ from itertools import combinations, permutations
 
 from hypothesis import strategies as st
 
-from ccmax import Graph, from_edges, is_connected
+from ccmax import Graph, from_edges, g_kl, is_connected
 
 
 @st.composite
@@ -134,3 +134,37 @@ def brute_blocks(g: Graph) -> tuple[set[tuple[int, ...]], set[int]]:
         if any(w not in seen for w in nbrs):
             cuts.add(v)
     return blocks, cuts
+
+
+def random_cubic(rng, n: int) -> Graph:
+    """Random cubic graph on n vertices by the pairing model, retried until
+    the pairing is a simple graph."""
+    while True:
+        points = [v for v in range(n) for _ in range(3)]
+        rng.shuffle(points)
+        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
+        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
+            return from_edges(n, edges)
+
+
+def hard_set() -> dict[str, Graph]:
+    """Hard cases for canonical labelling: the strongly regular 4x4 rook and
+    Shrikhande graphs (same parameters), Paley(17), C20 and G(4,4)."""
+    cells = [(r, c) for r in range(4) for c in range(4)]
+    pairs = list(combinations(range(16), 2))
+    rook = [(i, j) for i, j in pairs if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]]
+    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
+    shrikhande = [
+        (i, j)
+        for i, j in pairs
+        if ((cells[j][0] - cells[i][0]) % 4, (cells[j][1] - cells[i][1]) % 4) in steps
+    ]
+    squares = {x * x % 17 for x in range(1, 17)}
+    paley = [(i, j) for i, j in combinations(range(17), 2) if (j - i) % 17 in squares]
+    return {
+        "rook4x4": from_edges(16, rook),
+        "shrikhande": from_edges(16, shrikhande),
+        "paley17": from_edges(17, paley),
+        "c20": from_edges(20, [(i, (i + 1) % 20) for i in range(20)]),
+        "g44": g_kl(4, 4),
+    }

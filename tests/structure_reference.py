@@ -1,17 +1,83 @@
 """Reference structure predicates, frozen for use as a test oracle only.
 
-These are the block classification, graph type, B0/B membership tests and
-structural claims that ccmax.structure shipped before it computed one block
-decomposition per query: each predicate recomputes what it needs through
-the others. Only the decomposition itself (ccmax.structure.blocks, checked
-separately against first principles) and the graph primitives come from
-the library. The library's predicates must return the same values.
+reference_blocks is the Hopcroft-Tarjan block decomposition that
+ccmax.structure shipped with an edge stack and a connectivity pre-pass;
+ccmax.structure.blocks must return the same blocks, in the same order, and
+the same cut vertices. The rest are the block classification, graph type,
+B0/B membership tests and structural claims that ccmax.structure shipped
+before it computed one block decomposition per query: each predicate
+recomputes what it needs through the others, on reference_blocks. Only the
+graph primitives come from the library. The library's predicates must
+return the same values.
 """
 
 from __future__ import annotations
 
 from ccmax.graphs import Graph, edges_within, is_connected, triangles_at
-from ccmax.structure import BlockKind, GraphType, blocks
+from ccmax.structure import BlockDecomposition, BlockKind, GraphType
+
+
+def reference_blocks(g: Graph) -> BlockDecomposition:
+    """Biconnected components of a connected graph, by Hopcroft-Tarjan."""
+    if not is_connected(g):
+        raise ValueError("block decomposition requires a connected graph")
+    n = g.n
+    num = [0] * n  # DFS preorder index, 1-based; 0 = unvisited
+    low = [0] * n
+    parent = [-1] * n
+    counter = 0
+    stack: list[tuple[int, int]] = []  # edge stack
+    out: list[tuple[int, ...]] = []
+    cuts: set[int] = set()
+
+    def emit(u: int, v: int) -> None:
+        verts: set[int] = set()
+        while stack:
+            e = stack.pop()
+            verts.update(e)
+            if e == (u, v):
+                break
+        out.append(tuple(sorted(verts)))
+
+    def dfs(root: int) -> None:
+        nonlocal counter
+        counter += 1
+        num[root] = low[root] = counter
+        work = [(root, iter(g.neighbors(root)))]
+        root_children = 0
+        while work:
+            u, it = work[-1]
+            advanced = False
+            for v in it:
+                if num[v] == 0:
+                    stack.append((u, v))
+                    parent[v] = u
+                    counter += 1
+                    num[v] = low[v] = counter
+                    work.append((v, iter(g.neighbors(v))))
+                    if u == root:
+                        root_children += 1
+                    advanced = True
+                    break
+                if v != parent[u] and num[v] < num[u]:
+                    stack.append((u, v))
+                    low[u] = min(low[u], num[v])
+            if not advanced:
+                work.pop()
+                if work:
+                    p = work[-1][0]
+                    low[p] = min(low[p], low[u])
+                    if low[u] >= num[p]:
+                        emit(p, u)
+                        if p != root:
+                            cuts.add(p)
+        if root_children >= 2:
+            cuts.add(root)
+
+    if n > 0:
+        dfs(0)
+    return BlockDecomposition(tuple(out), frozenset(cuts))
+
 
 LEGAL_TYPES = (
     (0, 0, 0),
@@ -26,7 +92,7 @@ LEGAL_TYPES = (
 
 def classify_block(g: Graph, block) -> BlockKind:
     verts = tuple(sorted(block))
-    if verts not in blocks(g).blocks:
+    if verts not in reference_blocks(g).blocks:
         raise ValueError(f"{verts} is not a block of the graph")
     k = len(verts)
     m = edges_within(g, verts)
@@ -42,7 +108,7 @@ def classify_block(g: Graph, block) -> BlockKind:
 def graph_type(g: Graph) -> GraphType:
     d = i2 = i3 = 0
     legal = True
-    for b in blocks(g).blocks:
+    for b in reference_blocks(g).blocks:
         kind = classify_block(g, b)
         if kind is BlockKind.DIAMOND:
             d += 1
@@ -74,7 +140,7 @@ def is_in_b0(g: Graph) -> bool:
     _check_b_input(g)
     if any(g.degree(u) > 3 for u in range(g.n)):
         return False
-    dec = blocks(g)
+    dec = reference_blocks(g)
     ends = set(dec.endblocks())
     for b in dec.blocks:
         kind = classify_block(g, b)
@@ -96,7 +162,7 @@ def is_in_b(g: Graph) -> bool:
 
 
 def claim_checks(g: Graph) -> dict[str, bool]:
-    dec = blocks(g)
+    dec = reference_blocks(g)
     ends = set(dec.endblocks())
     kinds = {b: classify_block(g, b) for b in dec.blocks}
     t = graph_type(g)

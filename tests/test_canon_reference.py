@@ -12,10 +12,11 @@ from itertools import combinations
 import pytest
 
 import ccmax.enumeration as enumeration
-from ccmax import DegreeConstraint, canonical_form, enumerate_graphs, from_edges, g_kl
+from ccmax import DegreeConstraint, canonical_form, enumerate_graphs, from_edges
 from ccmax.graphs import _canon_masks
 
 from canon_reference import canon_masks as reference_canon_masks
+from conftest import hard_set, random_cubic
 
 
 def enumerator_inputs(monkeypatch, n, constraint):
@@ -52,16 +53,6 @@ def test_enumerator_inputs_match_reference(monkeypatch, n, constraint):
         assert _canon_masks(masks) == reference_canon_masks(masks, len(masks)), masks
 
 
-def _random_cubic(rng, n):
-    # Pairing model, retried until the pairing is a simple graph.
-    while True:
-        points = [v for v in range(n) for _ in range(3)]
-        rng.shuffle(points)
-        edges = {tuple(sorted(points[i : i + 2])) for i in range(0, len(points), 2)}
-        if len(edges) == 3 * n // 2 and all(u != v for u, v in edges):
-            return from_edges(n, edges)
-
-
 def _random_graphs():
     rng = random.Random(20140101)
     out = []
@@ -70,7 +61,7 @@ def _random_graphs():
         p = rng.uniform(1.5, 3.5) / n
         out.append(from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
     for _ in range(100):
-        out.append(_random_cubic(rng, rng.choice(range(10, 21, 2))))
+        out.append(random_cubic(rng, rng.choice(range(10, 21, 2))))
     for _ in range(100):
         n = rng.randint(9, 20)
         out.append(from_edges(n, [e for e in combinations(range(n), 2) if rng.random() < 0.5]))
@@ -82,34 +73,13 @@ def test_random_graphs_match_reference():
         assert _canon_masks(g._masks) == reference_canon_masks(g._masks, g.n), g.edges()
 
 
-def _hard_set():
-    cells = [(r, c) for r in range(4) for c in range(4)]
-    pairs = list(combinations(range(16), 2))
-    rook = [(i, j) for i, j in pairs if cells[i][0] == cells[j][0] or cells[i][1] == cells[j][1]]
-    steps = {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)}
-    shrikhande = [
-        (i, j)
-        for i, j in pairs
-        if ((cells[j][0] - cells[i][0]) % 4, (cells[j][1] - cells[i][1]) % 4) in steps
-    ]
-    squares = {x * x % 17 for x in range(1, 17)}
-    paley = [(i, j) for i, j in combinations(range(17), 2) if (j - i) % 17 in squares]
-    return {
-        "rook4x4": from_edges(16, rook),
-        "shrikhande": from_edges(16, shrikhande),
-        "paley17": from_edges(17, paley),
-        "c20": from_edges(20, [(i, (i + 1) % 20) for i in range(20)]),
-        "g44": g_kl(4, 4),
-    }
-
-
-@pytest.mark.parametrize("name", sorted(_hard_set()))
+@pytest.mark.parametrize("name", sorted(hard_set()))
 def test_hard_set_matches_reference(name):
-    g = _hard_set()[name]
+    g = hard_set()[name]
     assert _canon_masks(g._masks) == reference_canon_masks(g._masks, g.n)
 
 
 def test_rook_and_shrikhande_told_apart():
     # Both are SRG(16,6,2,2): refinement leaves each a single class.
-    hard = _hard_set()
+    hard = hard_set()
     assert canonical_form(hard["rook4x4"]) != canonical_form(hard["shrikhande"])
