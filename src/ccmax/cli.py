@@ -133,14 +133,7 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.theorem == "t1":
-        report = verify_theorem1(args.k, args.n, workers=args.workers)
-    elif args.theorem == "t23":
-        report = verify_theorem23(args.n, workers=args.workers)
-    elif args.theorem == "t4":
-        report = verify_theorem4(args.n, workers=args.workers)
-    else:
-        report = verify_caveman_rewire(args.k, args.l)
+    report = args.verify(args)
     if args.json:
         print(report.to_json())
     else:
@@ -202,16 +195,21 @@ def _build_parser() -> argparse.ArgumentParser:
     q = vsub.add_parser("t1", help="k-regular bound")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-n", type=int, required=True)
+    q.set_defaults(verify=lambda a: verify_theorem1(a.k, a.n, workers=a.workers))
     q = vsub.add_parser("t23", help="subcubic bound and characterization")
     q.add_argument("-n", type=int, required=True)
+    q.set_defaults(verify=lambda a: verify_theorem23(a.n, workers=a.workers))
     q = vsub.add_parser("t4", help="single-edge increase bound")
     q.add_argument("-n", type=int, required=True)
+    q.set_defaults(verify=lambda a: verify_theorem4(a.n, workers=a.workers))
+    for q in vsub.choices.values():  # the enumerating checks; caveman has no workers
+        q.add_argument("--workers", type=int, default=1)
     q = vsub.add_parser("caveman", help="rewiring strictly increases C")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-l", type=int, required=True)
+    q.set_defaults(verify=lambda a: verify_caveman_rewire(a.k, a.l))
     for q in vsub.choices.values():
         q.add_argument("--json", action="store_true")
-        q.add_argument("--workers", type=int, default=1)
         q.set_defaults(func=_cmd_verify)
     return parser
 

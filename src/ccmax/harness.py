@@ -9,7 +9,7 @@ pure values: rerunning a verifier reproduces the report byte for byte.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from fractions import Fraction
 
 from .clustering import (
@@ -50,18 +50,7 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {
-            "theorem_id": self.theorem_id,
-            "parameters": _jsonify(self.parameters),
-            "bound": _jsonify(self.bound),
-            "max_found": _jsonify(self.max_found),
-            "extremal_graphs": list(self.extremal_graphs),
-            "attained": self.attained,
-            "characterization_ok": self.characterization_ok,
-            "graphs_examined": self.graphs_examined,
-            "passed": self.passed,
-            "details": _jsonify(self.details),
-        }
+        return {f.name: _jsonify(getattr(self, f.name)) for f in fields(self)}
 
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
@@ -89,8 +78,6 @@ def _jsonify(value):
         }
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (frozenset, set)):
-        return sorted(_jsonify(v) for v in value)
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     return value
@@ -148,6 +135,21 @@ def _added_edges(graphs: list[Graph]):
                     yield edge_add_delta(g, u, v), (s, (u, v))
 
 
+def _verify_cc(theorem_id, parameters, bound, graphs, predicted, details) -> TheoremReport:
+    """The verdict on C over graphs: the maximum stays at or below bound and
+    the graphs at the bound, as canonical graph6, are exactly predicted.
+    details gains the equality graphs and the claim checks of each
+    maximizer."""
+    values = ((graph_cc(g), (to_graph6(g), g)) for g in graphs)
+    max_found, argmax, equality, _ = _scan(values, bound)
+    equality = [s for s, _ in equality]
+    details["equality_graphs"] = equality
+    details["maximizer_claims"] = {s: claim_checks(g) for s, g in argmax}
+    return _report(
+        theorem_id, parameters, bound, max_found, argmax, equality, predicted, len(graphs), details
+    )
+
+
 def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     """Exhaustive check of the k-regular bound at order n.
 
@@ -159,23 +161,12 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
         raise ValueError(f"need k >= 3, got {k}")
     if n < k + 2:
         raise ValueError(f"need n >= k + 2, got n={n}")
-    bound = theorem1_bound(k)
+    if n * k % 2:
+        raise ValueError(f"need n*k even (no {k}-regular graph has odd order), got n={n}")
     graphs = enumerate_graphs(n, DegreeConstraint.regular(k, connected=True), workers)
-    values = ((graph_cc(g), (to_graph6(g), g)) for g in graphs)
-    max_found, argmax, equality, _ = _scan(values, bound)
-    equality = [s for s, _ in equality]
-    if n % (k + 1) == 0:
-        predicted = [canonical_form(g_kl(k, n // (k + 1))).g6]
-    else:
-        predicted = []
-    details = {
-        "predicted_extremal": predicted,
-        "equality_graphs": equality,
-        "maximizer_claims": {s: claim_checks(g) for s, g in argmax},
-    }
-    return _report(
-        "T1", {"k": k, "n": n}, bound, max_found, argmax, equality, predicted, len(graphs), details
-    )
+    predicted = [canonical_form(g_kl(k, n // (k + 1))).g6] if n % (k + 1) == 0 else []
+    details = {"predicted_extremal": predicted}
+    return _verify_cc("T1", {"k": k, "n": n}, theorem1_bound(k), graphs, predicted, details)
 
 
 def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
@@ -187,25 +178,15 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     """
     if n < 6:
         raise ValueError(f"need n >= 6, got {n}")
-    bound = theorem2_bound(n)
-    graphs = enumerate_graphs(
-        n, DegreeConstraint.max_degree(3, connected=True), workers
-    )
-    values = ((graph_cc(g), (to_graph6(g), g)) for g in graphs)
-    max_found, argmax, equality, _ = _scan(values, bound)
-    equality = [s for s, _ in equality]
+    graphs = enumerate_graphs(n, DegreeConstraint.max_degree(3, connected=True), workers)
     # B is contained in literal B, so is_in_b runs on the literal members only
     literal = [(to_graph6(g), g) for g in graphs if is_in_b_literal(g)]
     b_members = sorted(s for s, g in literal if is_in_b(g))
     details = {
         "b_members": b_members,
         "b_members_literal_type_reading": sorted(s for s, _ in literal),
-        "equality_graphs": equality,
-        "maximizer_claims": {s: claim_checks(g) for s, g in argmax},
     }
-    return _report(
-        "T3", {"n": n}, bound, max_found, argmax, equality, b_members, len(graphs), details
-    )
+    return _verify_cc("T3", {"n": n}, theorem2_bound(n), graphs, b_members, details)
 
 
 def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:

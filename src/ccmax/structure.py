@@ -148,7 +148,7 @@ class _Structure(NamedTuple):
 
 def _structure(g: Graph) -> _Structure:
     dec = blocks(g)
-    kinds = tuple([classify_block_in(g, dec, b) for b in dec.blocks])
+    kinds = tuple([_KINDS.get((len(b), edges_within(g, b)), BlockKind.OTHER) for b in dec.blocks])
     diamonds = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.DIAMOND]
     triangles = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.K3]
     deg3 = [sum(g.degree(v) == 3 for v in b) for b in triangles]

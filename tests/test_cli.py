@@ -282,11 +282,33 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", "caveman", "-k", "3", "-l", "2")
         assert code == 0 and "PASS" in out
 
-    def test_bad_params_exit_1(self, capsys):
-        code, _, err = run(capsys, "verify", "t1", "-k", "2", "-n", "6")
+    @pytest.mark.parametrize(
+        "argv, theorem_id, parameters",
+        [
+            (["t1", "-k", "3", "-n", "6"], "T1", {"k": 3, "n": 6}),
+            (["t23", "-n", "6"], "T3", {"n": 6}),
+            (["t4", "-n", "4"], "T4", {"n": 4}),
+            (["caveman", "-k", "3", "-l", "2"], "caveman_rewire", {"k": 3, "l": 2}),
+        ],
+        ids=["t1", "t23", "t4", "caveman"],
+    )
+    def test_dispatch(self, capsys, argv, theorem_id, parameters):
+        code, out, _ = run(capsys, "verify", *argv, "--json")
+        data = json.loads(out)
+        assert code == 0
+        assert (data["theorem_id"], data["parameters"]) == (theorem_id, parameters)
+
+    @pytest.mark.parametrize("k, n", [("2", "6"), ("3", "7")], ids=["k-below-3", "odd-order"])
+    def test_bad_params_exit_1(self, capsys, k, n):
+        code, _, err = run(capsys, "verify", "t1", "-k", k, "-n", n)
         assert code == 1 and "error:" in err
 
-    def test_missing_subcommand(self, capsys):
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify"], ["verify", "caveman", "-k", "3", "-l", "2", "--workers", "2"]],
+        ids=["no-theorem", "caveman-workers"],
+    )
+    def test_missing_subcommand(self, capsys, argv):
         with pytest.raises(SystemExit):
-            main(["verify"])
+            main(argv)
         capsys.readouterr()

@@ -26,6 +26,7 @@ from ccmax import (
     skeleton_from_dict,
     standard_skeleton,
     theorem1_bound,
+    theorem2_bound,
     LEGAL_TYPES,
 )
 
@@ -255,6 +256,18 @@ class TestFamilyB:
                 assert tuple(graph_type(g)) == t
                 assert is_in_b0(g)
                 assert is_in_b(g) == (t in LEGAL_TYPES)
+
+    def test_legal_types_attain_theorem2_bound(self):
+        # LEGAL_TYPES, _FAMILY_B and _T2_C agree: the seven legal types meet the
+        # bound at every order of their construction, and (2, 0, 0) stays below
+        for k in range(6):
+            for t in LEGAL_TYPES:
+                n = family_b_order(t, k)
+                assert family_b_cc(t, n) == theorem2_bound(n), (t, k)
+                assert graph_cc(family_b(standard_skeleton(t, k))) == theorem2_bound(n), (t, k)
+            n = family_b_order((2, 0, 0), k)
+            assert family_b_cc((2, 0, 0), n) < theorem2_bound(n)
+            assert graph_cc(family_b(standard_skeleton((2, 0, 0), k))) < theorem2_bound(n)
 
 
 class TestFamilyBOrder:

@@ -52,6 +52,10 @@ class TestTheorem1:
             verify_theorem1(2, 6)
         with pytest.raises(ValueError):
             verify_theorem1(3, 4)
+        with pytest.raises(ValueError, match="even"):
+            verify_theorem1(3, 7)
+        with pytest.raises(ValueError, match="even"):
+            verify_theorem1(5, 7)
 
 
 class TestTheorem23:
