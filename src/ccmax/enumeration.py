@@ -59,9 +59,10 @@ class DegreeConstraint:
         if self.mode == MODE_ANY:
             if self.bound is not None:
                 raise ValueError("mode 'any' takes no bound")
-        else:
-            if self.bound is None or self.bound < 0:
-                raise ValueError(f"mode {self.mode!r} needs a bound >= 0")
+        elif not _is_int(self.bound) or self.bound < 0:
+            raise ValueError(f"mode {self.mode!r} needs an int bound >= 0, got {self.bound!r}")
+        if not isinstance(self.connected, bool):
+            raise ValueError(f"connected must be a bool, got {self.connected!r}")
 
     @classmethod
     def any_degree(cls, connected: bool = False) -> "DegreeConstraint":
@@ -84,6 +85,11 @@ class DegreeConstraint:
         if self.connected:
             return is_connected(g)
         return True
+
+
+def _is_int(x: object) -> bool:
+    # bool is a subclass of int, but True is no vertex count or degree
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _capability_limit(c: DegreeConstraint) -> int:
@@ -179,12 +185,10 @@ def _children(
 ) -> list[tuple[int, ...]]:
     # Canonical masks of the admissible children of an order-m canonical
     # parent whose canonical deletion gives back parent (module docstring).
-    if c.mode == MODE_ANY:
-        eligible = list(range(m))
-        max_size = m
-    else:
-        eligible = [u for u in range(m) if parent[u].bit_count() < c.bound]
-        max_size = min(c.bound, len(eligible))
+    # No vertex of an order-m parent has degree m, so m caps the any mode.
+    cap = m if c.bound is None else c.bound
+    eligible = [u for u in range(m) if parent[u].bit_count() < cap]
+    max_size = min(cap, len(eligible))
     connected = c.connected
     regular = c.mode == MODE_REGULAR
     base = _invariants(parent)
@@ -255,10 +259,10 @@ def enumerate_graphs(
 ) -> list[Graph]:
     """All graphs of order n satisfying c, one per isomorphism class, in
     ascending canonical-graph6 order."""
-    if n < 1:
-        raise ValueError(f"need n >= 1, got {n}")
-    if workers < 1:
-        raise ValueError(f"need workers >= 1, got {workers}")
+    if not _is_int(n) or n < 1:
+        raise ValueError(f"need an int n >= 1, got {n!r}")
+    if not _is_int(workers) or workers < 1:
+        raise ValueError(f"need an int workers >= 1, got {workers!r}")
     limit = _capability_limit(c)
     if n > limit:
         raise CapabilityError(

@@ -34,20 +34,6 @@ class Graph:
         self.n = n
         self._masks = tuple(masks)
 
-    @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
-        masks = [0] * n
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
-            if u == v:
-                raise ValueError(f"self-loop at vertex {u}")
-            masks[u] |= 1 << v
-            masks[v] |= 1 << u
-        return cls(n, masks)
-
     # -- basic views -------------------------------------------------------
 
     def mask(self, u: int) -> int:
@@ -132,7 +118,17 @@ def _bits(mask: int) -> Iterator[int]:
 
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse to one."""
-    return Graph.from_edges(n, edges)
+    if n < 0:
+        raise ValueError(f"vertex count must be non-negative, got {n}")
+    masks = [0] * n
+    for u, v in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        if u == v:
+            raise ValueError(f"self-loop at vertex {u}")
+        masks[u] |= 1 << v
+        masks[v] |= 1 << u
+    return Graph(n, masks)
 
 
 def edges_within(g: Graph, vertices: Iterable[int]) -> int:
@@ -158,17 +154,15 @@ def triangles_at(g: Graph, u: int) -> int:
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single component (vacuously for n <= 1)."""
-    if g.n <= 1:
-        return True
-    seen = 1
-    frontier = 1
+    full = (1 << g.n) - 1
+    seen = frontier = full & 1
     while frontier:
         nxt = 0
         for u in _bits(frontier):
             nxt |= g._masks[u]
         frontier = nxt & ~seen
         seen |= frontier
-    return seen == (1 << g.n) - 1
+    return seen == full
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -240,10 +234,11 @@ def parse_graph6(line: str) -> Graph:
 # positions one class after another. This definition, class order included,
 # fixes every canonical string and so every enumeration order and report;
 # an implementation may change only how fast the maximum is found, and
-# tests/test_canon_reference.py holds it to a frozen reference. When every
-# class is a singleton the class order is the labelling; otherwise a
-# depth-first branch and bound over positions, with twin skipping, finds
-# the maximum. Works well through n = 20; enforced by CANONICAL_MAX_N.
+# tests/test_canon_reference.py holds it to a frozen reference. After
+# refinement, a discrete partition (orders 0 and 1 included) is the
+# labelling; otherwise one depth-first branch and bound over all positions,
+# with twin skipping, finds the maximum, singletons first with one
+# candidate each. Works well through n = 20; enforced by CANONICAL_MAX_N.
 
 
 @dataclass(frozen=True, order=True)
@@ -327,15 +322,12 @@ _COL_SHIFT = 64
 def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list[int]:
     """Vertices in canonical order: perm[p] is the vertex placed at p."""
     n = len(masks)
-    if n <= 1:
-        return list(range(n))
     classes = _refine_classes(nbrs)
     if len(classes) == n:
         return [v for (v,) in classes]
     pos_class: list[int] = []
     for ci, cls in enumerate(classes):
         pos_class.extend([ci] * len(cls))
-    remaining = [list(cls) for cls in classes]
     # rcol[v]: adjacency bits of v toward already placed positions, stored so
     # that integer order equals left-to-right column order.
     rcol = [0] * n
@@ -343,18 +335,6 @@ def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list
     placed: list[int] = []
     best: list[int] = []
     best_perm: list[int] = []
-    # Classes are ordered by size, so singletons take the first positions
-    # and leave no choice: place them before the search starts.
-    for cls in classes:
-        if len(cls) > 1:
-            break
-        v = cls[0]
-        j = len(placed)
-        cur[j] = rcol[v]
-        placed.append(v)
-        bit = 1 << (_COL_SHIFT - j)
-        for w in nbrs[v]:
-            rcol[w] += bit
 
     def dfs(j: int, tight: bool) -> bool:
         # tight: the columns placed so far equal best's; only then can a
@@ -366,7 +346,9 @@ def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list
             best = cur[:]
             best_perm = placed[:]
             return True
-        cls = remaining[pos_class[j]]
+        # Deeper calls put back every vertex they take from a class, so cls
+        # holds exactly the vertices of its class not yet placed.
+        cls = classes[pos_class[j]]
         cands = cls[:] if len(cls) == 1 else sorted(cls, key=rcol.__getitem__, reverse=True)
         updated = False
         tried: list[int] = []
@@ -402,7 +384,7 @@ def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list
             cls.append(v)
         return updated
 
-    dfs(len(placed), False)
+    dfs(0, False)
     return best_perm
 
 

@@ -22,7 +22,7 @@ from .clustering import (
 )
 from .enumeration import DegreeConstraint, enumerate_graphs
 from .generators import caveman, caveman_rewired, complete_bipartite, g_kl
-from .graphs import Graph, canonical_form, to_graph6
+from .graphs import Graph, canonical_form, canonical_graph, to_graph6
 from .structure import claim_checks, is_in_b, is_in_b_literal
 
 
@@ -201,9 +201,9 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
     max_found, argmax, equality, pairs_examined = _scan(_added_edges(graphs), bound)
-    k2_rep = canonical_form(complete_bipartite(2, n - 2)).g6
-    rep = next((g for g in graphs if to_graph6(g) == k2_rep), None)
-    if rep is None:
+    rep = canonical_graph(complete_bipartite(2, n - 2))
+    k2_rep = to_graph6(rep)
+    if rep not in graphs:
         raise ValueError(
             f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
         )

@@ -244,8 +244,10 @@ class TestCapabilityLimits:
 
 class TestValidation:
     def test_bad_n(self):
-        with pytest.raises(ValueError):
-            enumerate_graphs(0, DegreeConstraint.any_degree())
+        # a float, a string or a bool is no order, even one equal to an int
+        for n in (0, 8.0, "8", True):
+            with pytest.raises(ValueError, match="n >= 1"):
+                enumerate_graphs(n, DegreeConstraint.any_degree())
 
     def test_bad_constraint_params(self):
         with pytest.raises(ValueError):
@@ -256,10 +258,19 @@ class TestValidation:
             DegreeConstraint("weird")
         with pytest.raises(ValueError):
             DegreeConstraint("any", bound=3)
+        for bound in (3.0, "3", True, None):
+            with pytest.raises(ValueError, match="bound"):
+                DegreeConstraint.regular(bound, connected=True)
+            with pytest.raises(ValueError, match="bound"):
+                DegreeConstraint.max_degree(bound)
+        for connected in (1, "yes", None):
+            with pytest.raises(ValueError, match="connected"):
+                DegreeConstraint.any_degree(connected)
 
     def test_bad_workers(self):
-        with pytest.raises(ValueError):
-            enumerate_graphs(5, DegreeConstraint.any_degree(), workers=0)
+        for workers in (0, 1.0, 2.0, True, "2"):
+            with pytest.raises(ValueError, match="workers"):
+                enumerate_graphs(5, DegreeConstraint.any_degree(), workers=workers)
 
     def test_satisfied_by(self):
         c = DegreeConstraint.regular(3, connected=True)

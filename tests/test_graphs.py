@@ -205,6 +205,11 @@ class TestCanonicalForm:
         for name in names:
             g = named(name)
             assert canonical_graph(g) == Graph(g.n, _canon_masks(g._masks)), name
+        # orders 0 and 1 are discrete before any refinement round
+        for n, g6 in ((0, "?"), (1, "@")):
+            g = from_edges(n, [])
+            assert canonical_form(g).g6 == g6
+            assert canonical_graph(g) == Graph(n, _canon_masks(g._masks))
 
     @given(graphs(max_n=7), st.randoms(use_true_random=False))
     def test_invariant_under_relabelling(self, g, rng):
