@@ -2,10 +2,11 @@
 """Run every exhaustive verification at full desk scale and print a summary.
 
 Exit status is 0 only if all checks pass. On a 2-core machine with Python
-3.11 the 30 cells take about 30-32 s at 1 worker and 25-28 s at 2. Two
-cells are most of it: T23 n=12 (10-14 s, mostly enumeration) and
-T4 n=8 (12 s, exact clustering arithmetic). --workers splits each large
-enumeration once across processes; it does not spread T4's arithmetic.
+3.11 the 30 cells take about 22-31 s at 1 worker and 17-24 s at 2 (the
+host's speed swings). Two cells are most of it: T23 n=12 (9-11 s, mostly
+enumeration) and T4 n=8 (8-9 s, exact clustering arithmetic). --workers
+splits each large enumeration once across processes; it does not spread
+T4's arithmetic.
 """
 
 import argparse

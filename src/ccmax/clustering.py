@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, triangles_at
+from .graphs import Graph, _bits, triangles_at
 
 
 def local_cc(g: Graph, u: int) -> Fraction:
@@ -35,23 +35,21 @@ def graph_cc(g: Graph) -> Fraction:
 
 
 def edge_add_delta(g: Graph, u: int, v: int) -> Fraction:
-    """C(G + uv) - C(G) for a non-adjacent pair u, v.
-
-    Only u, v, and their common neighbors change local value, so the sum of
-    local changes is computed over those vertices alone and divided by n.
-    """
+    """C(G + uv) - C(G) for a non-adjacent pair u, v, from the local
+    decomposition: each of the c common neighbors w gains one triangle and
+    adds 1/C(d_w, 2); u and v each go from t/C(d, 2) to (t + c)/C(d + 1, 2),
+    counted as 0 below degree 2. The sum of the changes is divided by n."""
     if u == v:
         raise ValueError(f"cannot add a loop at vertex {u}")
     if g.has_edge(u, v):
         raise ValueError(f"edge ({u},{v}) already present")
-    h = g.with_edge(u, v)
-    affected = [u, v]
     common = g.mask(u) & g.mask(v)
-    while common:
-        low = common & -common
-        affected.append(low.bit_length() - 1)
-        common ^= low
-    change = sum((local_cc(h, w) - local_cc(g, w) for w in affected), Fraction(0))
+    c = common.bit_count()
+    change = sum((Fraction(2, d * (d - 1)) for d in map(g.degree, _bits(common))), Fraction(0))
+    for x in (u, v):
+        d = g.degree(x)
+        if d:
+            change += Fraction(triangles_at(g, x) + c, d * (d + 1) // 2) - local_cc(g, x)
     return change / g.n
 
 

@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Sequence
 
-from .graphs import CapabilityError, Graph, _canon_masks, is_connected, to_graph6
+from .graphs import CapabilityError, Graph, _canon_masks, _is_int, is_connected, to_graph6
 
 MODE_ANY = "any"
 MODE_MAX_DEGREE = "max_degree"
@@ -85,11 +85,6 @@ class DegreeConstraint:
         if self.connected:
             return is_connected(g)
         return True
-
-
-def _is_int(x: object) -> bool:
-    # bool is a subclass of int, but True is no vertex count or degree
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _capability_limit(c: DegreeConstraint) -> int:

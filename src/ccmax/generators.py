@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
+from itertools import pairwise
 from typing import Mapping
 
 from .clustering import _FAMILY_B
-from .graphs import Graph, from_edges, is_connected
+from .graphs import Graph, _is_int, from_edges, is_connected
 
 TRIANGLE_MARK = "triangle"
 DIAMOND_MARK = "diamond"
@@ -47,15 +48,15 @@ def named(name: str) -> Graph:
 def complete_minus_edge(q: int) -> Graph:
     """K_q minus the edge (q-2, q-1): the two degree-(q-2) vertices are the
     last two labels."""
-    if q < 2:
-        raise ValueError(f"need q >= 2, got {q}")
+    if not _is_int(q) or q < 2:
+        raise ValueError(f"need an int q >= 2, got {q!r}")
     return from_edges(q, _copies_of_kq_minus_e(q - 1, 1))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the size-a part labeled 0..a-1."""
-    if a < 1 or b < 1:
-        raise ValueError(f"parts must be non-empty, got {a}, {b}")
+    if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
+        raise ValueError(f"need int parts a, b >= 1, got {a!r}, {b!r}")
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
@@ -77,8 +78,8 @@ def _copies_of_kq_minus_e(k: int, length: int) -> list[tuple[int, int]]:
 def _ring_of_copies(k: int, length: int, entry: int) -> Graph:
     # length copies of K_{k+1}-e in a cycle, local label k of each copy
     # joined to local label entry of the next
-    if length < 2:
-        raise ValueError(f"need l >= 2, got {length}")
+    if not _is_int(length) or length < 2:
+        raise ValueError(f"need an int l >= 2, got {length!r}")
     q = k + 1
     edges = _copies_of_kq_minus_e(k, length)
     edges += [(c * q + k, (c + 1) % length * q + entry) for c in range(length)]
@@ -88,8 +89,8 @@ def _ring_of_copies(k: int, length: int, entry: int) -> Graph:
 def g_kl(k: int, length: int) -> Graph:
     """The k-regular graph G(k, l): l copies of K_{k+1}-e arranged cyclically,
     joined only at their degree-(k-1) vertices (local labels k-1 and k)."""
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
+    if not _is_int(k) or k < 3:
+        raise ValueError(f"need an int k >= 3, got {k!r}")
     return _ring_of_copies(k, length, k - 1)
 
 
@@ -97,8 +98,8 @@ def caveman(k: int, length: int) -> Graph:
     """Connected caveman graph: l copies of K_{k+1}-e arranged cyclically,
     each linked to the next by an edge from a degree-(k-1) vertex (local
     label k) to a degree-k vertex (local label 0)."""
-    if k < 2:
-        raise ValueError(f"need k >= 2, got {k}")
+    if not _is_int(k) or k < 2:
+        raise ValueError(f"need an int k >= 2, got {k!r}")
     return _ring_of_copies(k, length, 0)
 
 
@@ -201,8 +202,8 @@ def family_b_order(t, k: int) -> int:
     key = tuple(t)
     if key not in _FAMILY_B:
         raise ValueError(f"no order formula for type {key}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"need an int k >= 0, got {k!r}")
     return _FAMILY_B[key][0] + 4 * k
 
 
@@ -214,48 +215,24 @@ def standard_skeleton(t, k: int) -> BSkeleton:
     key = tuple(t)
     if key not in _FAMILY_B:
         raise ValueError(f"no standard skeleton for type {key}")
-    if k < 0:
-        raise ValueError(f"need k >= 0, got {k}")
+    if not _is_int(k) or k < 0:
+        raise ValueError(f"need an int k >= 0, got {k!r}")
     d, i2, i3 = key
-
-    # spine of k plain degree-3 vertices plus i3 marked degree-3 vertices;
-    # hang leaves to bring every spine vertex to degree 3
-    spine_len = k + i3
-    edges: list[tuple[int, int]] = []
-    nxt = spine_len
-    leaves: list[int] = []
-    if spine_len == 0:
-        edges.append((0, 1))
-        leaves = [0, 1]
-        nxt = 2
-    else:
-        edges += [(i, i + 1) for i in range(spine_len - 1)]
-        for i in range(spine_len):
-            spine_deg = sum(1 for e in edges if i in e)
-            for _ in range(3 - spine_deg):
-                edges.append((i, nxt))
-                leaves.append(nxt)
-                nxt += 1
-    inner_marks = set(range(k, spine_len))  # the i3 marked spine vertices last
-
-    # subdivide the first edge with a chain of i2 marked degree-2 vertices
-    if i2:
-        u, v = edges[0]
-        chain = [nxt + i for i in range(i2)]
-        nxt += i2
-        edges[0:1] = (
-            [(u, chain[0])]
-            + [(chain[i], chain[i + 1]) for i in range(i2 - 1)]
-            + [(chain[-1], v)]
-        )
-        inner_marks.update(chain)
-
-    marks = {
-        leaf: (DIAMOND_MARK if idx < d else TRIANGLE_MARK)
-        for idx, leaf in enumerate(sorted(leaves))
-    }
-    tree = from_edges(nxt, edges)
-    return BSkeleton(tree=tree, leaf_marks=marks, inner_marks=frozenset(inner_marks))
+    # spine 0..spine-1: k plain then i3 marked degree-3 vertices; vertex i
+    # gets leaves up to degree 3, labeled spine..nxt-1 (0 and 1 with no spine)
+    spine = k + i3
+    edges, nxt = ([], spine) if spine else ([(0, 1)], 2)
+    for i in range(spine):
+        leaves = 1 + (i == 0) + (i == spine - 1)
+        edges += [(i, i + 1)] * (i < spine - 1) + [(i, nxt + j) for j in range(leaves)]
+        nxt += leaves
+    # a chain of i2 marked degree-2 vertices subdivides the first edge
+    chain = range(nxt, nxt + i2)
+    u, v = edges[0]
+    edges[0:1] = pairwise([u, *chain, v])
+    marks = {x: DIAMOND_MARK if x - spine < d else TRIANGLE_MARK for x in range(spine, nxt)}
+    inner = frozenset(range(k, spine)).union(chain)
+    return BSkeleton(from_edges(nxt + i2, edges), marks, inner)
 
 
 def _typed(x, kind):

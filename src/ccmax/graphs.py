@@ -116,6 +116,11 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _is_int(x: object) -> bool:
+    # bool is a subclass of int, but True is no vertex count or degree
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse to one."""
     if n < 0:

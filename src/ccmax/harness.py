@@ -22,7 +22,7 @@ from .clustering import (
 )
 from .enumeration import DegreeConstraint, enumerate_graphs
 from .generators import caveman, caveman_rewired, complete_bipartite, g_kl
-from .graphs import Graph, canonical_form, canonical_graph, to_graph6
+from .graphs import Graph, _is_int, canonical_form, canonical_graph, to_graph6
 from .structure import claim_checks, is_in_b, is_in_b_literal
 
 
@@ -157,10 +157,10 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     must stay at or below 1 - 6/(k(k+1)), with equality exactly when (k+1)
     divides n, and then only at G(k, n/(k+1)).
     """
-    if k < 3:
-        raise ValueError(f"need k >= 3, got {k}")
-    if n < k + 2:
-        raise ValueError(f"need n >= k + 2, got n={n}")
+    if not _is_int(k) or k < 3:
+        raise ValueError(f"need an int k >= 3, got {k!r}")
+    if not _is_int(n) or n < k + 2:
+        raise ValueError(f"need an int n >= k + 2, got n={n!r}")
     if n * k % 2:
         raise ValueError(f"need n*k even (no {k}-regular graph has odd order), got n={n}")
     graphs = enumerate_graphs(n, DegreeConstraint.regular(k, connected=True), workers)
@@ -176,8 +176,8 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     the maximum of C must stay at or below the order-n bound, and the
     equality cases must be exactly the order-n members of the family B.
     """
-    if n < 6:
-        raise ValueError(f"need n >= 6, got {n}")
+    if not _is_int(n) or n < 6:
+        raise ValueError(f"need an int n >= 6, got {n!r}")
     graphs = enumerate_graphs(n, DegreeConstraint.max_degree(3, connected=True), workers)
     # B is contained in literal B, so is_in_b runs on the literal members only
     literal = [(to_graph6(g), g) for g in graphs if is_in_b_literal(g)]
@@ -196,8 +196,8 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     non-adjacent pair; the delta must stay at or below the bound, with
     equality exactly at K_{2,n-2} joining its two degree-(n-2) vertices.
     """
-    if n < 3:
-        raise ValueError(f"need n >= 3, got {n}")
+    if not _is_int(n) or n < 3:
+        raise ValueError(f"need an int n >= 3, got {n!r}")
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
     max_found, argmax, equality, pairs_examined = _scan(_added_edges(graphs), bound)

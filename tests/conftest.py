@@ -2,11 +2,37 @@
 
 from __future__ import annotations
 
+import signal
 from itertools import combinations, permutations
 
+import pytest
 from hypothesis import strategies as st
 
 from ccmax import Graph, from_edges, g_kl, is_connected
+
+
+# The slowest test takes about 4 s on a 2-core host.
+TIME_LIMIT_S = 30
+
+
+class TimeLimitExceeded(BaseException):
+    """A test ran over TIME_LIMIT_S. Not an Exception, so neither a test's own
+    `except Exception` nor hypothesis catches it and runs the test again."""
+
+
+@pytest.fixture(autouse=True)
+def time_limit(request):
+    """Fail a test that runs over TIME_LIMIT_S instead of letting it hang the
+    suite (a canonical search that loses its pruning runs for hours)."""
+
+    def expire(signum, frame):
+        raise TimeLimitExceeded(f"{request.node.nodeid} ran over {TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TIME_LIMIT_S)
+    yield
+    signal.setitimer(signal.ITIMER_REAL, 0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 @st.composite

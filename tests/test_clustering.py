@@ -89,14 +89,19 @@ class TestCCSum:
 
 
 class TestEdgeAddDelta:
-    def test_k22_diagonal(self):
-        assert edge_add_delta(complete_bipartite(2, 2), 0, 1) == Fraction(5, 6)
-
-    def test_p3_endpoints(self):
-        assert edge_add_delta(named("path(3)"), 0, 2) == 1
-
-    def test_diamond_missing_edge(self):
-        assert edge_add_delta(named("diamond"), 2, 3) == Fraction(1, 6)
+    @pytest.mark.parametrize(
+        "g, u, v, delta",
+        [
+            (complete_bipartite(2, 2), 0, 1, Fraction(5, 6)),
+            (named("path(3)"), 0, 2, 1),
+            (named("diamond"), 2, 3, Fraction(1, 6)),
+            # vertex 0 drops from 1 to 1/3; the isolated endpoint stays at 0
+            (from_edges(4, [(0, 1), (0, 2), (1, 2)]), 0, 3, Fraction(-1, 6)),
+        ],
+        ids=["k22-diagonal", "p3-endpoints", "diamond-missing-edge", "isolated-endpoint"],
+    )
+    def test_exact(self, g, u, v, delta):
+        assert edge_add_delta(g, u, v) == delta
 
     def test_adjacent_rejected(self):
         with pytest.raises(ValueError):

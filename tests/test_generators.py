@@ -77,6 +77,8 @@ class TestCompleteMinusEdge:
     def test_domain(self):
         with pytest.raises(ValueError):
             complete_minus_edge(1)
+        with pytest.raises(ValueError, match="int q"):
+            complete_minus_edge(4.0)
 
 
 class TestCompleteBipartite:
@@ -100,6 +102,10 @@ class TestCompleteBipartite:
     def test_domain(self):
         with pytest.raises(ValueError):
             complete_bipartite(0, 3)
+        with pytest.raises(ValueError, match="int parts a, b"):
+            complete_bipartite(2, 2.0)
+        with pytest.raises(ValueError, match="int parts a, b"):
+            complete_bipartite(True, 2)
 
 
 class TestGkl:
@@ -131,6 +137,10 @@ class TestGkl:
             g_kl(2, 2)
         with pytest.raises(ValueError):
             g_kl(3, 1)
+        with pytest.raises(ValueError, match="int l"):
+            g_kl(3, 2.0)
+        with pytest.raises(ValueError, match="int k"):
+            g_kl(3.0, 2)
 
 
 class TestCaveman:
@@ -155,6 +165,10 @@ class TestCaveman:
             caveman(1, 2)
         with pytest.raises(ValueError):
             caveman(3, 1)
+        with pytest.raises(ValueError, match="int k"):
+            caveman(True, 2)
+        with pytest.raises(ValueError, match="int l"):
+            caveman(3, 2.0)
 
 
 class TestCavemanRewired:
@@ -282,6 +296,10 @@ class TestFamilyBOrder:
             family_b_order((0, 4, 0), 0)
         with pytest.raises(ValueError):
             family_b_order((0, 0, 0), -1)
+        with pytest.raises(ValueError, match="int k"):
+            family_b_order((0, 0, 0), 1.0)
+        with pytest.raises(ValueError, match="int k"):
+            standard_skeleton((0, 0, 0), True)
 
 
 class TestSkeletonFromDict:

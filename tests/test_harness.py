@@ -56,6 +56,10 @@ class TestTheorem1:
             verify_theorem1(3, 7)
         with pytest.raises(ValueError, match="even"):
             verify_theorem1(5, 7)
+        with pytest.raises(ValueError, match="int k"):
+            verify_theorem1(3.0, 8)
+        with pytest.raises(ValueError, match=r"int n >= k \+ 2"):
+            verify_theorem1(3, 8.0)
 
 
 class TestTheorem23:
@@ -87,6 +91,8 @@ class TestTheorem23:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_theorem23(5)
+        with pytest.raises(ValueError, match="int n >= 6"):
+            verify_theorem23(6.0)
 
     def test_empty_universe(self, monkeypatch):
         monkeypatch.setattr(harness, "enumerate_graphs", lambda n, c, workers: [])
@@ -119,6 +125,10 @@ class TestTheorem4:
     def test_domain(self):
         with pytest.raises(ValueError):
             verify_theorem4(2)
+        with pytest.raises(ValueError, match="int n >= 3"):
+            verify_theorem4(True)
+        with pytest.raises(ValueError, match="int n >= 3"):
+            verify_theorem4(4.0)
 
     def test_missing_k2_representative(self, monkeypatch):
         rep = canonical_form(complete_bipartite(2, 3)).g6
@@ -151,6 +161,10 @@ class TestCaveman:
             verify_caveman_rewire(1, 2)
         with pytest.raises(ValueError):
             verify_caveman_rewire(3, 1)
+        with pytest.raises(ValueError, match="int k"):
+            verify_caveman_rewire(3.0, 2)
+        with pytest.raises(ValueError, match="int l"):
+            verify_caveman_rewire(3, 2.0)
 
 
 class TestReportShape:
