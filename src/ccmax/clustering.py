@@ -11,7 +11,7 @@ from decimal import Decimal, localcontext
 from fractions import Fraction
 from typing import Iterable
 
-from .graphs import Graph, _bits, triangles_at
+from .graphs import Graph, _bits, _need_int, triangles_at
 
 
 def local_cc(g: Graph, u: int) -> Fraction:
@@ -58,8 +58,7 @@ def edge_add_delta(g: Graph, u: int, v: int) -> Fraction:
 
 def theorem1_bound(k: int) -> Fraction:
     """Max clustering coefficient of a connected k-regular graph, k >= 3."""
-    if k < 3:
-        raise ValueError(f"bound requires k >= 3, got {k}")
+    _need_int("k", k, 3)
     return 1 - Fraction(6, k * (k + 1))
 
 
@@ -68,15 +67,13 @@ _T2_C = {0: 12, 1: 13, 2: 14, 3: 11}
 
 def theorem2_bound(n: int) -> Fraction:
     """Max clustering coefficient of a connected subcubic graph of order n >= 6."""
-    if n < 6:
-        raise ValueError(f"bound requires n >= 6, got {n}")
+    _need_int("n", n, 6)
     return Fraction(7, 12) + Fraction(_T2_C[n % 4], 12 * n)
 
 
 def theorem4_bound(n: int) -> Fraction:
     """Max increase of C from one edge addition on a graph of order n >= 3."""
-    if n < 3:
-        raise ValueError(f"bound requires n >= 3, got {n}")
+    _need_int("n", n, 3)
     return 1 - Fraction(2, n) + Fraction(4, n * (n - 1))
 
 
@@ -105,7 +102,8 @@ def family_b_cc(t, n: int) -> Fraction:
     if key not in _FAMILY_B:
         raise ValueError(f"no closed form for type {key}")
     base, c = _FAMILY_B[key]
-    if n < base or (n - base) % 4 != 0:
+    _need_int("n", n, base)
+    if (n - base) % 4 != 0:
         raise ValueError(f"order {n} impossible for type {key}: need {base} + 4k")
     return Fraction(7 * n + c, 12 * n)
 

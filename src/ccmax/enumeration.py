@@ -37,7 +37,7 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Sequence
 
-from .graphs import CapabilityError, Graph, _canon_masks, _is_int, is_connected, to_graph6
+from .graphs import CapabilityError, Graph, _canon_masks, _is_int, _need_int, is_connected, to_graph6
 
 MODE_ANY = "any"
 MODE_MAX_DEGREE = "max_degree"
@@ -254,10 +254,8 @@ def enumerate_graphs(
 ) -> list[Graph]:
     """All graphs of order n satisfying c, one per isomorphism class, in
     ascending canonical-graph6 order."""
-    if not _is_int(n) or n < 1:
-        raise ValueError(f"need an int n >= 1, got {n!r}")
-    if not _is_int(workers) or workers < 1:
-        raise ValueError(f"need an int workers >= 1, got {workers!r}")
+    _need_int("n", n, 1)
+    _need_int("workers", workers, 1)
     limit = _capability_limit(c)
     if n > limit:
         raise CapabilityError(

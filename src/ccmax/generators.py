@@ -13,7 +13,7 @@ from itertools import pairwise
 from typing import Mapping
 
 from .clustering import _FAMILY_B
-from .graphs import Graph, _is_int, from_edges, is_connected
+from .graphs import Graph, _is_int, _need_int, from_edges, is_connected
 
 TRIANGLE_MARK = "triangle"
 DIAMOND_MARK = "diamond"
@@ -48,8 +48,7 @@ def named(name: str) -> Graph:
 def complete_minus_edge(q: int) -> Graph:
     """K_q minus the edge (q-2, q-1): the two degree-(q-2) vertices are the
     last two labels."""
-    if not _is_int(q) or q < 2:
-        raise ValueError(f"need an int q >= 2, got {q!r}")
+    _need_int("q", q, 2)
     return from_edges(q, _copies_of_kq_minus_e(q - 1, 1))
 
 
@@ -78,8 +77,7 @@ def _copies_of_kq_minus_e(k: int, length: int) -> list[tuple[int, int]]:
 def _ring_of_copies(k: int, length: int, entry: int) -> Graph:
     # length copies of K_{k+1}-e in a cycle, local label k of each copy
     # joined to local label entry of the next
-    if not _is_int(length) or length < 2:
-        raise ValueError(f"need an int l >= 2, got {length!r}")
+    _need_int("l", length, 2)
     q = k + 1
     edges = _copies_of_kq_minus_e(k, length)
     edges += [(c * q + k, (c + 1) % length * q + entry) for c in range(length)]
@@ -89,8 +87,7 @@ def _ring_of_copies(k: int, length: int, entry: int) -> Graph:
 def g_kl(k: int, length: int) -> Graph:
     """The k-regular graph G(k, l): l copies of K_{k+1}-e arranged cyclically,
     joined only at their degree-(k-1) vertices (local labels k-1 and k)."""
-    if not _is_int(k) or k < 3:
-        raise ValueError(f"need an int k >= 3, got {k!r}")
+    _need_int("k", k, 3)
     return _ring_of_copies(k, length, k - 1)
 
 
@@ -98,8 +95,7 @@ def caveman(k: int, length: int) -> Graph:
     """Connected caveman graph: l copies of K_{k+1}-e arranged cyclically,
     each linked to the next by an edge from a degree-(k-1) vertex (local
     label k) to a degree-k vertex (local label 0)."""
-    if not _is_int(k) or k < 2:
-        raise ValueError(f"need an int k >= 2, got {k!r}")
+    _need_int("k", k, 2)
     return _ring_of_copies(k, length, 0)
 
 
@@ -202,8 +198,7 @@ def family_b_order(t, k: int) -> int:
     key = tuple(t)
     if key not in _FAMILY_B:
         raise ValueError(f"no order formula for type {key}")
-    if not _is_int(k) or k < 0:
-        raise ValueError(f"need an int k >= 0, got {k!r}")
+    _need_int("k", k, 0)
     return _FAMILY_B[key][0] + 4 * k
 
 
@@ -215,8 +210,7 @@ def standard_skeleton(t, k: int) -> BSkeleton:
     key = tuple(t)
     if key not in _FAMILY_B:
         raise ValueError(f"no standard skeleton for type {key}")
-    if not _is_int(k) or k < 0:
-        raise ValueError(f"need an int k >= 0, got {k!r}")
+    _need_int("k", k, 0)
     d, i2, i3 = key
     # spine 0..spine-1: k plain then i3 marked degree-3 vertices; vertex i
     # gets leaves up to degree 3, labeled spine..nxt-1 (0 and 1 with no spine)

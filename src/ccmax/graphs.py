@@ -121,10 +121,14 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _need_int(name: str, value: object, least: int) -> None:
+    if not _is_int(value) or value < least:
+        raise ValueError(f"need an int {name} >= {least}, got {value!r}")
+
+
 def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list; duplicate edges collapse to one."""
-    if n < 0:
-        raise ValueError(f"vertex count must be non-negative, got {n}")
+    _need_int("n", n, 0)
     masks = [0] * n
     for u, v in edges:
         if not (0 <= u < n and 0 <= v < n):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field, fields
 from fractions import Fraction
+from typing import Callable
 
 from .clustering import (
     decimal_str,
@@ -22,7 +23,7 @@ from .clustering import (
 )
 from .enumeration import DegreeConstraint, enumerate_graphs
 from .generators import caveman, caveman_rewired, complete_bipartite, g_kl
-from .graphs import Graph, _is_int, canonical_form, canonical_graph, to_graph6
+from .graphs import Graph, _is_int, _need_int, canonical_form, canonical_graph, to_graph6
 from .structure import claim_checks, is_in_b, is_in_b_literal
 
 
@@ -157,8 +158,7 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     must stay at or below 1 - 6/(k(k+1)), with equality exactly when (k+1)
     divides n, and then only at G(k, n/(k+1)).
     """
-    if not _is_int(k) or k < 3:
-        raise ValueError(f"need an int k >= 3, got {k!r}")
+    _need_int("k", k, 3)
     if not _is_int(n) or n < k + 2:
         raise ValueError(f"need an int n >= k + 2, got n={n!r}")
     if n * k % 2:
@@ -176,8 +176,7 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     the maximum of C must stay at or below the order-n bound, and the
     equality cases must be exactly the order-n members of the family B.
     """
-    if not _is_int(n) or n < 6:
-        raise ValueError(f"need an int n >= 6, got {n!r}")
+    _need_int("n", n, 6)
     graphs = enumerate_graphs(n, DegreeConstraint.max_degree(3, connected=True), workers)
     # B is contained in literal B, so is_in_b runs on the literal members only
     literal = [(to_graph6(g), g) for g in graphs if is_in_b_literal(g)]
@@ -196,8 +195,7 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     non-adjacent pair; the delta must stay at or below the bound, with
     equality exactly at K_{2,n-2} joining its two degree-(n-2) vertices.
     """
-    if not _is_int(n) or n < 3:
-        raise ValueError(f"need an int n >= 3, got {n!r}")
+    _need_int("n", n, 3)
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
     max_found, argmax, equality, pairs_examined = _scan(_added_edges(graphs), bound)
@@ -250,3 +248,16 @@ def verify_caveman_rewire(k: int, length: int) -> TheoremReport:
             "rewired_cc": c_after,
         },
     )
+
+
+# The sweep of scripts/verify_all.py, in its order: (name, run) cells where
+# run(workers) returns the report and name is the stem of its golden file
+# in tests/golden/. The caveman cells enumerate nothing and ignore workers.
+SWEEP: tuple[tuple[str, Callable[[int], TheoremReport]], ...] = (
+    *((f"T1_k{k}_n{n}", lambda w, k=k, n=n: verify_theorem1(k, n, w))
+      for k, n in ((3, 6), (3, 8), (3, 10), (3, 12), (4, 10))),
+    *((f"T23_n{n}", lambda w, n=n: verify_theorem23(n, w)) for n in range(6, 13)),
+    *((f"T4_n{n}", lambda w, n=n: verify_theorem4(n, w)) for n in range(3, 9)),
+    *((f"caveman_k{k}_l{ln}", lambda w, k=k, ln=ln: verify_caveman_rewire(k, ln))
+      for k in (3, 4, 5, 6) for ln in (2, 3, 4)),
+)

@@ -12,7 +12,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .graphs import Graph, _bits, edges_within, is_connected, triangles_at
+from .graphs import Graph, _bits, _need_int, edges_within, is_connected, triangles_at
 
 
 class BlockKind(enum.Enum):
@@ -178,6 +178,7 @@ def s_set(g: Graph) -> frozenset[int]:
 def v_partition(g: Graph, k: int) -> dict[int, frozenset[int]]:
     """Partition of a k-regular graph's vertices by triangle deficiency:
     V_i = vertices whose neighborhood misses i of the C(k,2) possible edges."""
+    _need_int("k", k, 0)
     if any(g.degree(u) != k for u in range(g.n)):
         raise ValueError(f"graph is not {k}-regular")
     full = k * (k - 1) // 2

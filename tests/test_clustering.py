@@ -165,6 +165,8 @@ class TestBounds:
     def test_theorem1_domain(self):
         with pytest.raises(ValueError):
             theorem1_bound(2)
+        with pytest.raises(ValueError, match="int k >= 3"):
+            theorem1_bound(3.0)
 
     def test_theorem2_values(self):
         assert theorem2_bound(6) == Fraction(7, 9)
@@ -175,6 +177,8 @@ class TestBounds:
     def test_theorem2_domain(self):
         with pytest.raises(ValueError):
             theorem2_bound(5)
+        with pytest.raises(ValueError, match="int n >= 6"):
+            theorem2_bound(6.0)
 
     def test_theorem4_values(self):
         assert theorem4_bound(3) == 1
@@ -184,6 +188,8 @@ class TestBounds:
     def test_theorem4_domain(self):
         with pytest.raises(ValueError):
             theorem4_bound(2)
+        with pytest.raises(ValueError, match="int n >= 3"):
+            theorem4_bound(3.0)
 
 
 class TestFamilyBCC:
@@ -204,6 +210,8 @@ class TestFamilyBCC:
             family_b_cc((0, 0, 0), 7)
         with pytest.raises(ValueError):
             family_b_cc((0, 0, 1), 8)
+        with pytest.raises(ValueError, match="int n >= 6"):
+            family_b_cc((0, 0, 0), 6.0)
 
 
 class TestRationalArithmetic:

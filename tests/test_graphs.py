@@ -42,6 +42,8 @@ class TestFromEdges:
             from_edges(3, [(0, 3)])
         with pytest.raises(ValueError):
             from_edges(3, [(-1, 0)])
+        with pytest.raises(ValueError, match="int n >= 0"):
+            from_edges(True, [])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):

@@ -170,6 +170,8 @@ class TestVPartition:
             v_partition(named("paw"), 3)
         with pytest.raises(ValueError):
             v_partition(g_kl(3, 2), 4)
+        with pytest.raises(ValueError, match="int k >= 0"):
+            v_partition(g_kl(3, 2), 3.0)
 
 
 class TestMembership:
