@@ -29,6 +29,8 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--workers", type=int, default=1)
     args = ap.parse_args(argv)
+    if args.workers < 1:
+        ap.error(f"--workers must be at least 1, got {args.workers}")
 
     all_ok = True
     t0 = time.perf_counter()

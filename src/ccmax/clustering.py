@@ -16,6 +16,7 @@ from .graphs import Graph, _bits, _need_int, triangles_at
 
 def local_cc(g: Graph, u: int) -> Fraction:
     """Local clustering coefficient of u; 0 when deg(u) < 2."""
+    # No helper shared with edge_add_delta: one cost graph_cc a call per vertex.
     d = g.degree(u)
     if d < 2:
         return Fraction(0)
@@ -46,6 +47,7 @@ def edge_add_delta(g: Graph, u: int, v: int) -> Fraction:
     common = g.mask(u) & g.mask(v)
     c = common.bit_count()
     change = sum((Fraction(2, d * (d - 1)) for d in map(g.degree, _bits(common))), Fraction(0))
+    # local_cc's terms inline: a shared helper measured slower in graph_cc.
     for x in (u, v):
         d = g.degree(x)
         if d:
@@ -108,10 +110,13 @@ def family_b_cc(t, n: int) -> Fraction:
     return Fraction(7 * n + c, 12 * n)
 
 
-def decimal_str(q: Fraction, digits: int = 20) -> str:
-    """Render a fraction as a decimal string with `digits` significant digits
+_DIGITS = 20
+
+
+def decimal_str(q: Fraction) -> str:
+    """Render a fraction as a decimal string with 20 significant digits
     (round-half-even). Presentation only; exact values stay fractions."""
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = _DIGITS
         d = Decimal(q.numerator) / Decimal(q.denominator)
     return str(d)

@@ -37,7 +37,9 @@ from dataclasses import dataclass
 from itertools import combinations, repeat
 from typing import Sequence
 
-from .graphs import CapabilityError, Graph, _canon_masks, _is_int, _need_int, is_connected, to_graph6
+from .graphs import (
+    CapabilityError, Graph, _canon_masks, _is_int, _need_int, _spans, is_connected, to_graph6
+)
 
 MODE_ANY = "any"
 MODE_MAX_DEGREE = "max_degree"
@@ -120,7 +122,7 @@ _F_SHIFT = 16
 def _invariants(masks: Sequence[int]) -> list[int]:
     # f(v) = (degree, sum of neighbour degrees), packed so that integer
     # order is tuple order (a sum of at most 19 degrees of at most 19 fits
-    # below the shift).
+    # below the shift). An inline bit walk, not _bits: this is in the hot path.
     degs = [x.bit_count() for x in masks]
     out = []
     for x, d in zip(masks, degs):
@@ -133,27 +135,12 @@ def _invariants(masks: Sequence[int]) -> list[int]:
     return out
 
 
-def _is_cut(masks: Sequence[int], v: int) -> bool:
-    # whether deleting v disconnects the (connected) graph; a vertex of
-    # degree <= 1 never does
-    if masks[v] & (masks[v] - 1) == 0:
-        return False
-    rest = ((1 << len(masks)) - 1) ^ (1 << v)
-    seen = frontier = rest & -rest
-    while frontier:
-        nxt = 0
-        while frontier:
-            low = frontier & -frontier
-            nxt |= masks[low.bit_length() - 1]
-            frontier ^= low
-        frontier = nxt & rest & ~seen
-        seen |= frontier
-    return seen != rest
-
-
-def _any_deletable(masks: Sequence[int], vs: Sequence[int], connected: bool) -> bool:
-    # deletable: any vertex for disconnected targets, else a non-cut vertex
-    return bool(vs) and (not connected or not all(_is_cut(masks, u) for u in vs))
+def _deletable(masks: Sequence[int], v: int, connected: bool) -> bool:
+    # every vertex for disconnected targets; for connected ones a vertex of
+    # degree <= 1 or one whose deletion leaves the rest connected
+    if not connected or masks[v] & (masks[v] - 1) == 0:
+        return True
+    return _spans(masks, ((1 << len(masks)) - 1) ^ (1 << v))
 
 
 def _delete(masks: Sequence[int], p: int) -> list[int]:
@@ -168,9 +155,7 @@ def _deletes_to(canon: tuple[int, ...], fmin: int, connected: bool, parent: tupl
     # deleting that vertex gives back parent's class.
     f = _invariants(canon)
     p = next(
-        p
-        for p in reversed(range(len(canon)))
-        if f[p] == fmin and not (connected and _is_cut(canon, p))
+        p for p in reversed(range(len(canon))) if f[p] == fmin and _deletable(canon, p, connected)
     )
     return _canon_masks(_delete(canon, p)) == parent
 
@@ -191,7 +176,7 @@ def _children(
     # the new vertex's only neighbour is u, and gains at most one edge; so a
     # new vertex of degree above u's + 1 never has minimal f.
     by_degree = sorted((x.bit_count(), u) for u, x in enumerate(parent))
-    d0 = next(d for d, u in by_degree if not (connected and _is_cut(parent, u)))
+    d0 = next(d for d, u in by_degree if _deletable(parent, u, connected))
     max_size = min(max_size, d0 + 1)
     new = 1 << m
     newm = m + 1
@@ -221,7 +206,7 @@ def _children(
                 elif fu == fm:
                     ties.append(u)
             masks.append(smask)
-            if _any_deletable(masks, lower, connected):
+            if any(_deletable(masks, u, connected) for u in lower):
                 continue
             if regular and not _regular_prefix_ok(masks, newm, n, c.bound):
                 continue
@@ -229,9 +214,8 @@ def _children(
             # Children with equal canonical masks (automorphic neighbour
             # sets) get the same verdict, which depends on canon alone.
             if canon not in verdicts:
-                verdicts[canon] = not _any_deletable(masks, ties, connected) or _deletes_to(
-                    canon, fm, connected, parent
-                )
+                tied = any(_deletable(masks, u, connected) for u in ties)
+                verdicts[canon] = not tied or _deletes_to(canon, fm, connected, parent)
     return [canon for canon, kept in verdicts.items() if kept]
 
 

@@ -177,13 +177,7 @@ def family_b(sk: BSkeleton) -> Graph:
             base += 3
         elif deg == 1:
             # diamond on base..base+3, degree-2 vertices last; bridge at base+2
-            edges += [
-                (base, base + 1),
-                (base, base + 2),
-                (base, base + 3),
-                (base + 1, base + 2),
-                (base + 1, base + 3),
-            ]
+            edges += [(base + i, base + j) for i, j in _copies_of_kq_minus_e(3, 1)]
             ports[v] = [base + 2]
             base += 4
         else:
@@ -230,8 +224,8 @@ def standard_skeleton(t, k: int) -> BSkeleton:
 
 
 def _typed(x, kind):
-    # x if it is a kind; an int must not be a bool (JSON true is no vertex)
-    if not isinstance(x, kind) or kind is int and isinstance(x, bool):
+    # x if it is a kind; an int as _is_int has it (JSON true is no vertex)
+    if not (_is_int(x) if kind is int else isinstance(x, kind)):
         raise TypeError(x)
     return x
 

@@ -94,8 +94,9 @@ class Graph:
     # -- dunder plumbing -----------------------------------------------------
 
     def _check_vertex(self, u: int) -> None:
-        if not (0 <= u < self.n):
-            raise ValueError(f"vertex {u} outside 0..{self.n - 1}")
+        # inline, not _is_int: this runs a few hundred times per graph
+        if type(u) is not int or not 0 <= u < self.n:
+            raise ValueError(f"need an int vertex in 0..{self.n - 1}, got {u!r}")
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
@@ -131,13 +132,21 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _need_int("n", n, 0)
     masks = [0] * n
     for u, v in edges:
-        if not (0 <= u < n and 0 <= v < n):
-            raise ValueError(f"edge ({u},{v}) has an endpoint outside 0..{n - 1}")
+        if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+            raise ValueError(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
         masks[u] |= 1 << v
         masks[v] |= 1 << u
     return Graph(n, masks)
+
+
+def _edges_in(masks: Sequence[int], within: int) -> int:
+    # edges with both endpoints in the vertex mask `within`
+    total = 0
+    for u in _bits(within):
+        total += (masks[u] & within).bit_count()
+    return total // 2
 
 
 def edges_within(g: Graph, vertices: Iterable[int]) -> int:
@@ -146,32 +155,31 @@ def edges_within(g: Graph, vertices: Iterable[int]) -> int:
     for u in vertices:
         g._check_vertex(u)
         umask |= 1 << u
-    total = 0
-    for u in _bits(umask):
-        total += (g._masks[u] & umask).bit_count()
-    return total // 2
+    return _edges_in(g._masks, umask)
 
 
 def triangles_at(g: Graph, u: int) -> int:
     """Number of triangles of g containing u (= edges inside N(u))."""
-    numask = g.mask(u)
-    total = 0
-    for v in _bits(numask):
-        total += (g._masks[v] & numask).bit_count()
-    return total // 2
+    return _edges_in(g._masks, g.mask(u))
+
+
+def _spans(masks: Sequence[int], within: int) -> bool:
+    # whether the vertex mask `within` induces a connected graph (0 does)
+    seen = frontier = within & -within
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= masks[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen == within
 
 
 def is_connected(g: Graph) -> bool:
     """True iff g has a single component (vacuously for n <= 1)."""
-    full = (1 << g.n) - 1
-    seen = frontier = full & 1
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g._masks[u]
-        frontier = nxt & ~seen
-        seen |= frontier
-    return seen == full
+    return _spans(g._masks, (1 << g.n) - 1)
 
 
 # -- graph6 ------------------------------------------------------------------
@@ -261,6 +269,7 @@ class CanonicalForm:
 
 
 def _neighbor_lists(masks: Sequence[int]) -> list[list[int]]:
+    # an inline bit walk, not _bits: this is in canonical labelling's hot path
     out = []
     for mask in masks:
         nbrs = []

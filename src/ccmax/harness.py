@@ -126,14 +126,21 @@ def _report(
     )
 
 
+def _non_edges(g: Graph):
+    # the non-adjacent pairs (u, v) of g, u < v, in lexicographic order
+    for u in range(g.n):
+        mask = g.mask(u)
+        for v in range(u + 1, g.n):
+            if not mask >> v & 1:
+                yield u, v
+
+
 def _added_edges(graphs: list[Graph]):
     # (delta, (graph6, (u, v))) for every graph and every non-adjacent pair
     for g in graphs:
         s = to_graph6(g)
-        for u in range(g.n):
-            for v in range(u + 1, g.n):
-                if not g.has_edge(u, v):
-                    yield edge_add_delta(g, u, v), (s, (u, v))
+        for u, v in _non_edges(g):
+            yield edge_add_delta(g, u, v), (s, (u, v))
 
 
 def _verify_cc(theorem_id, parameters, bound, graphs, predicted, details) -> TheoremReport:
@@ -207,11 +214,8 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
         )
     predicted = [
         (k2_rep, (u, v))
-        for u in range(rep.n)
-        for v in range(u + 1, rep.n)
-        if not rep.has_edge(u, v)
-        and rep.degree(u) == n - 2
-        and rep.degree(v) == n - 2
+        for u, v in _non_edges(rep)
+        if rep.degree(u) == n - 2 and rep.degree(v) == n - 2
     ]
     details = {
         "pairs_examined": pairs_examined,

@@ -39,6 +39,8 @@ class TestLocalCC:
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             local_cc(named("K4"), 4)
+        with pytest.raises(ValueError, match="int vertex"):
+            local_cc(named("paw"), 1.0)
 
     @given(graphs())
     def test_unit_interval(self, g):
@@ -110,6 +112,12 @@ class TestEdgeAddDelta:
     def test_equal_rejected(self):
         with pytest.raises(ValueError):
             edge_add_delta(named("path(3)"), 1, 1)
+
+    def test_non_int_vertex_rejected(self):
+        with pytest.raises(ValueError, match="int vertex"):
+            edge_add_delta(named("paw"), 1.0, 3)
+        with pytest.raises(ValueError, match="int vertex"):
+            edge_add_delta(named("paw"), 3, True)
 
     @given(graphs(min_n=3))
     @settings(max_examples=60)
@@ -245,5 +253,5 @@ class TestDecimalStr:
         assert decimal_str(Fraction(1)) == "1"
 
     def test_round_half_even(self):
-        assert decimal_str(Fraction(25, 2), digits=2) == "12"
-        assert decimal_str(Fraction(35, 2), digits=2) == "18"
+        assert decimal_str(Fraction(2 * 10**20 + 5, 10**20)) == "2.0000000000000000000"
+        assert decimal_str(Fraction(2 * 10**20 + 15, 10**20)) == "2.0000000000000000002"

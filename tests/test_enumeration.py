@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ccmax import (
     CapabilityError,
     DegreeConstraint,
+    blocks,
     canonical_form,
     count,
     enumerate_graphs,
@@ -19,7 +20,8 @@ from ccmax import (
     is_connected,
     to_graph6,
 )
-from ccmax.enumeration import _SPLIT
+from ccmax.enumeration import _SPLIT, _deletable
+from ccmax.graphs import _spans
 
 # OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
 # (connected 4-regular graphs)
@@ -138,6 +140,22 @@ def test_any_degree_equals_networkx_atlas():
         got = [to_graph6(g) for g in enumerate_graphs(n, DegreeConstraint.any_degree())]
         assert len(got) == len(atlas[n]) == ALL_GRAPHS[n]
         assert set(got) == set(atlas[n]) and len(set(got)) == len(got)
+
+
+def test_deletable_is_non_cut():
+    # For connected targets the enumerator deletes exactly the vertices that
+    # the block decomposition does not list as cut vertices.
+    graphs = [
+        g for n in range(1, 8) for g in enumerate_graphs(n, DegreeConstraint.any_degree(True))
+    ]
+    assert len(graphs) == 996  # OEIS A001349, orders 1..7
+    for g in graphs:
+        masks = [g.mask(v) for v in range(g.n)]
+        cuts = blocks(g).cut_vertices
+        for v in range(g.n):
+            assert _deletable(masks, v, True) == (v not in cuts)
+            assert _deletable(masks, v, False)
+    assert _spans((), 0)
 
 
 class TestOutputProperties:

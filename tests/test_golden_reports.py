@@ -38,11 +38,16 @@ def test_goldens_are_the_sweep():
     assert {p.stem for p in GOLDEN.glob("*.json")} == {name for name, _ in SWEEP}
 
 
-def test_verify_all_compares_goldens(tmp_path, monkeypatch, capsys):
+def _load_verify_all():
     path = Path(__file__).parent.parent / "scripts" / "verify_all.py"
     spec = importlib.util.spec_from_file_location("verify_all", path)
     verify_all = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(verify_all)
+    return verify_all
+
+
+def test_verify_all_compares_goldens(tmp_path, monkeypatch, capsys):
+    verify_all = _load_verify_all()
     names = ("caveman_k3_l2", "caveman_k4_l3")
     monkeypatch.setattr(verify_all, "SWEEP", [(n, dict(SWEEP)[n]) for n in names])
     monkeypatch.setattr(verify_all, "GOLDEN", tmp_path)
@@ -61,6 +66,18 @@ def test_verify_all_compares_goldens(tmp_path, monkeypatch, capsys):
     tampered.unlink()
     assert verify_all.main([]) == 1
     assert "caveman_k4_l3: no golden file" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("workers", ["0", "-1"])
+def test_verify_all_rejects_workers_below_one(workers, monkeypatch, capsys):
+    verify_all = _load_verify_all()
+    ran = []
+    monkeypatch.setattr(verify_all, "SWEEP", [("cell", ran.append)])
+    with pytest.raises(SystemExit) as exit_info:
+        verify_all.main(["--workers", workers])
+    assert exit_info.value.code == 2
+    assert ran == []
+    assert "--workers must be at least 1" in capsys.readouterr().err
 
 
 if __name__ == "__main__":

@@ -44,6 +44,9 @@ class TestFromEdges:
             from_edges(3, [(-1, 0)])
         with pytest.raises(ValueError, match="int n >= 0"):
             from_edges(True, [])
+        for edge in [(0.0, 1), (True, 2)]:
+            with pytest.raises(ValueError, match="int endpoints"):
+                from_edges(3, [edge])
 
     def test_self_loop_rejected(self):
         with pytest.raises(ValueError):
@@ -53,6 +56,10 @@ class TestFromEdges:
         g = from_edges(4, [(0, 2), (2, 3)])
         assert g.neighbors(2) == (0, 3)
         assert g.has_edge(2, 0) and not g.has_edge(0, 3)
+        for u in (True, 1.0):
+            for view in (g.degree, g.mask, g.neighbors, lambda x: g.has_edge(0, x)):
+                with pytest.raises(ValueError, match="int vertex"):
+                    view(u)
 
     def test_edit_returns_new_graph(self):
         g = from_edges(3, [(0, 1)])
