@@ -5,14 +5,15 @@ and compare each report with its golden file.
 The cells are ccmax.harness.SWEEP. Each report's to_json() plus a newline
 must equal tests/golden/<cell>.json byte for byte; a differing or missing
 golden prints the cell's name. Exit status is 0 only if every check passes
-and every report matches its golden.
+and every report matches its golden. Standard error gets one
+"<cell>: <seconds>s" line per cell, so standard output stays the same from
+one run to the next but for its total line.
 
 On a 2-core machine with Python 3.11 the 30 cells, checks included, took
-32.8 s at 1 worker and 21.6-22.3 s at 2 (the host's speed swings by up to
-2x). Two cells are most of it: T23 n=12 (12-15 s at 1 worker, mostly
-enumeration) and T4 n=8 (9-10 s, exact clustering arithmetic). --workers
-splits each large enumeration once across processes; it does not spread
-T4's arithmetic.
+14.7-14.9 s at 1 worker and 11.6-12.0 s at 2 (the host's speed swings by
+up to 2x). T23 n=12 is half of it (7.5 s at 1 worker, mostly enumeration);
+T4 n=8 takes 2.4 s, enumeration included. --workers splits each large
+enumeration once across processes.
 """
 
 import argparse
@@ -35,7 +36,9 @@ def main(argv=None) -> int:
     all_ok = True
     t0 = time.perf_counter()
     for name, run in SWEEP:
+        t_cell = time.perf_counter()
         report = run(args.workers)
+        print(f"{name}: {time.perf_counter() - t_cell:.2f}s", file=sys.stderr)
         all_ok &= report.passed
         for line in report.summary_lines():
             print(line)

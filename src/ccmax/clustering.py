@@ -1,22 +1,26 @@
 """Exact clustering coefficients and the closed-form maximality bounds.
 
-All quantities are exact rationals (fractions.Fraction); floats never enter
-the arithmetic. The global coefficient is the mean of the local ones
-(vertices of degree below 2 contribute 0), not the transitivity ratio.
+Every value is exact; floats never enter the arithmetic. The global
+coefficient is the mean of the local ones (vertices of degree below 2
+contribute 0), not the transitivity ratio. graph_cc and the T4 kernel sum
+integers over one common denominator, a least common multiple of the
+binomials C(d, 2), and build a fractions.Fraction only at the boundary:
+one per graph, or one for the maximum of a whole T4 scan. local_cc, cc_sum
+and edge_add_delta add Fractions term by term and serve as the oracle.
 """
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Iterator, Sequence
 
-from .graphs import Graph, _bits, _need_int, triangles_at
+from .graphs import Graph, _bits, _edges_in, _need_int, _non_edges, triangles_at
 
 
 def local_cc(g: Graph, u: int) -> Fraction:
     """Local clustering coefficient of u; 0 when deg(u) < 2."""
-    # No helper shared with edge_add_delta: one cost graph_cc a call per vertex.
     d = g.degree(u)
     if d < 2:
         return Fraction(0)
@@ -32,7 +36,16 @@ def graph_cc(g: Graph) -> Fraction:
     """Global clustering coefficient: the mean of all local coefficients."""
     if g.n == 0:
         raise ValueError("clustering coefficient of the empty graph is undefined")
-    return cc_sum(g, range(g.n)) / g.n
+    masks = g._masks
+    # (t, C(d, 2)) of every vertex u on a triangle, t = edges inside N(u)
+    terms = []
+    for x in masks:
+        t = _edges_in(masks, x)
+        if t:
+            d = x.bit_count()
+            terms.append((t, d * (d - 1) // 2))
+    lcm = math.lcm(*{b for _, b in terms})
+    return Fraction(sum(t * (lcm // b) for t, b in terms), g.n * lcm)
 
 
 def edge_add_delta(g: Graph, u: int, v: int) -> Fraction:
@@ -47,12 +60,42 @@ def edge_add_delta(g: Graph, u: int, v: int) -> Fraction:
     common = g.mask(u) & g.mask(v)
     c = common.bit_count()
     change = sum((Fraction(2, d * (d - 1)) for d in map(g.degree, _bits(common))), Fraction(0))
-    # local_cc's terms inline: a shared helper measured slower in graph_cc.
     for x in (u, v):
         d = g.degree(x)
         if d:
             change += Fraction(triangles_at(g, x) + c, d * (d + 1) // 2) - local_cc(g, x)
     return change / g.n
+
+
+def _binomial_lcm(n: int) -> int:
+    """L = lcm{C(d, 2) : 2 <= d <= n - 1}: n * L * edge_add_delta is an
+    integer for every non-adjacent pair of every graph of order n."""
+    return math.lcm(*(d * (d - 1) // 2 for d in range(2, n)))
+
+
+def _scaled_deltas(masks: Sequence[int], lcm: int) -> Iterator[tuple[int, int, int]]:
+    """(n * lcm * edge_add_delta(u, v), u, v) for every non-adjacent pair
+    u < v in lexicographic order; lcm is _binomial_lcm(n).
+
+    With W[w] = lcm / C(d_w, 2) and A[x] = lcm / C(d_x + 1, 2), the scaled
+    delta is the sum of W over the c common neighbours plus, for x in
+    {u, v}, (t_x + c) * A[x] - t_x * W[x]; every term is an integer."""
+    degs = [x.bit_count() for x in masks]
+    tris = [_edges_in(masks, x) for x in masks]
+    w = [lcm // (d * (d - 1) // 2) if d > 1 else 0 for d in degs]
+    # d + 1 <= n - 1 at an endpoint of a non-edge, so C(d + 1, 2) divides
+    # lcm wherever a is read; a vertex of degree 0 has t = c = 0.
+    a = [lcm // (d * (d + 1) // 2) if d else 0 for d in degs]
+    tw = [t * x for t, x in zip(tris, w)]
+    for u, v in _non_edges(masks):
+        common = masks[u] & masks[v]
+        c = common.bit_count()
+        change = (tris[u] + c) * a[u] - tw[u] + (tris[v] + c) * a[v] - tw[v]
+        while common:
+            low = common & -common
+            change += w[low.bit_length() - 1]
+            common ^= low
+        yield change, u, v
 
 
 # -- closed-form bounds -------------------------------------------------------

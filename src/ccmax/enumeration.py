@@ -149,15 +149,20 @@ def _delete(masks: Sequence[int], p: int) -> list[int]:
     return [x & low | x >> (p + 1) << p for i, x in enumerate(masks) if i != p]
 
 
-def _deletes_to(canon: tuple[int, ...], fmin: int, connected: bool, parent: tuple[int, ...]) -> bool:
+def _deletes_to(
+    canon: tuple[int, ...], fmin: int, connected: bool, parent: tuple[int, ...], parent_f: list[int]
+) -> bool:
     # The canonical deletion vertex of a canonical child is its highest
     # deletable position with minimal f; the child belongs to parent iff
-    # deleting that vertex gives back parent's class.
+    # deleting that vertex gives back parent's class. parent_f is the sorted
+    # f of parent: isomorphic graphs have the same multiset of f, so a
+    # different one is an exact "no" without a canonical labelling.
     f = _invariants(canon)
     p = next(
         p for p in reversed(range(len(canon))) if f[p] == fmin and _deletable(canon, p, connected)
     )
-    return _canon_masks(_delete(canon, p)) == parent
+    rest = _delete(canon, p)
+    return sorted(_invariants(rest)) == parent_f and _canon_masks(rest) == parent
 
 
 def _children(
@@ -172,6 +177,7 @@ def _children(
     connected = c.connected
     regular = c.mode == MODE_REGULAR
     base = _invariants(parent)
+    base_f = sorted(base)
     # A deletable vertex u of the parent stays deletable in a child unless
     # the new vertex's only neighbour is u, and gains at most one edge; so a
     # new vertex of degree above u's + 1 never has minimal f.
@@ -215,7 +221,7 @@ def _children(
             # sets) get the same verdict, which depends on canon alone.
             if canon not in verdicts:
                 tied = any(_deletable(masks, u, connected) for u in ties)
-                verdicts[canon] = not tied or _deletes_to(canon, fm, connected, parent)
+                verdicts[canon] = not tied or _deletes_to(canon, fm, connected, parent, base_f)
     return [canon for canon, kept in verdicts.items() if kept]
 
 

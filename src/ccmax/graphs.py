@@ -142,10 +142,14 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
 
 
 def _edges_in(masks: Sequence[int], within: int) -> int:
-    # edges with both endpoints in the vertex mask `within`
+    # edges with both endpoints in the vertex mask `within`; an inline bit
+    # walk, not _bits: graph_cc and the T4 kernel call it for every vertex
     total = 0
-    for u in _bits(within):
-        total += (masks[u] & within).bit_count()
+    rest = within
+    while rest:
+        low = rest & -rest
+        total += (masks[low.bit_length() - 1] & within).bit_count()
+        rest ^= low
     return total // 2
 
 
@@ -161,6 +165,16 @@ def edges_within(g: Graph, vertices: Iterable[int]) -> int:
 def triangles_at(g: Graph, u: int) -> int:
     """Number of triangles of g containing u (= edges inside N(u))."""
     return _edges_in(g._masks, g.mask(u))
+
+
+def _non_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
+    # the non-adjacent pairs (u, v), u < v, in lexicographic order
+    n = len(masks)
+    for u in range(n):
+        mask = masks[u]
+        for v in range(u + 1, n):
+            if not mask >> v & 1:
+                yield u, v
 
 
 def _spans(masks: Sequence[int], within: int) -> bool:

@@ -14,6 +14,8 @@ from fractions import Fraction
 from typing import Callable
 
 from .clustering import (
+    _binomial_lcm,
+    _scaled_deltas,
     decimal_str,
     edge_add_delta,
     graph_cc,
@@ -23,7 +25,9 @@ from .clustering import (
 )
 from .enumeration import DegreeConstraint, enumerate_graphs
 from .generators import caveman, caveman_rewired, complete_bipartite, g_kl
-from .graphs import Graph, _is_int, _need_int, canonical_form, canonical_graph, to_graph6
+from .graphs import (
+    Graph, _is_int, _need_int, _non_edges, canonical_form, canonical_graph, to_graph6
+)
 from .structure import claim_checks, is_in_b, is_in_b_literal
 
 
@@ -126,21 +130,11 @@ def _report(
     )
 
 
-def _non_edges(g: Graph):
-    # the non-adjacent pairs (u, v) of g, u < v, in lexicographic order
-    for u in range(g.n):
-        mask = g.mask(u)
-        for v in range(u + 1, g.n):
-            if not mask >> v & 1:
-                yield u, v
-
-
-def _added_edges(graphs: list[Graph]):
-    # (delta, (graph6, (u, v))) for every graph and every non-adjacent pair
-    for g in graphs:
-        s = to_graph6(g)
-        for u, v in _non_edges(g):
-            yield edge_add_delta(g, u, v), (s, (u, v))
+def _added_edges(by_g6: dict[str, Graph], lcm: int):
+    # (n * lcm * delta, (graph6, (u, v))) for every graph and non-adjacent pair
+    for s, g in by_g6.items():
+        for value, u, v in _scaled_deltas(g._masks, lcm):
+            yield value, (s, (u, v))
 
 
 def _verify_cc(theorem_id, parameters, bound, graphs, predicted, details) -> TheoremReport:
@@ -201,20 +195,33 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     Ranges over every graph of order n (connected or not) and every
     non-adjacent pair; the delta must stay at or below the bound, with
     equality exactly at K_{2,n-2} joining its two degree-(n-2) vertices.
+    The scan is in integers (clustering._scaled_deltas); every maximising
+    pair is recomputed with edge_add_delta, and a disagreement raises
+    RuntimeError.
     """
     _need_int("n", n, 3)
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
-    max_found, argmax, equality, pairs_examined = _scan(_added_edges(graphs), bound)
+    by_g6 = {to_graph6(g): g for g in graphs}
+    # integers over the common denominator n * lcm, and the bound over it
+    lcm = _binomial_lcm(n)
+    top, argmax, equality, pairs_examined = _scan(_added_edges(by_g6, lcm), bound * n * lcm)
+    max_found = Fraction(top, n * lcm)
+    for s, (u, v) in argmax:
+        exact = edge_add_delta(by_g6[s], u, v)
+        if exact != max_found:
+            raise RuntimeError(
+                f"integer delta {max_found} disagrees with edge_add_delta {exact} at {s} {(u, v)}"
+            )
     rep = canonical_graph(complete_bipartite(2, n - 2))
     k2_rep = to_graph6(rep)
-    if rep not in graphs:
+    if k2_rep not in by_g6:
         raise ValueError(
             f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
         )
     predicted = [
         (k2_rep, (u, v))
-        for u, v in _non_edges(rep)
+        for u, v in _non_edges(rep._masks)
         if rep.degree(u) == n - 2 and rep.degree(v) == n - 2
     ]
     details = {

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ccmax import (
+    DegreeConstraint,
     cc_sum,
     complete_bipartite,
     decimal_str,
     edge_add_delta,
+    enumerate_graphs,
     family_b_cc,
     from_edges,
     g_kl,
@@ -20,6 +22,7 @@ from ccmax import (
     theorem2_bound,
     theorem4_bound,
 )
+from ccmax.clustering import _binomial_lcm, _scaled_deltas
 
 from conftest import graphs
 
@@ -73,8 +76,9 @@ class TestGraphCC:
         with pytest.raises(ValueError):
             graph_cc(from_edges(0, []))
 
-    @given(graphs(min_n=1))
+    @given(graphs(min_n=1, max_n=20))
     def test_equals_ccsum_over_n(self, g):
+        # the integer sum over one denominator against the Fraction path
         assert graph_cc(g) == cc_sum(g, range(g.n)) / g.n
 
 
@@ -162,6 +166,30 @@ class TestEdgeAddDelta:
             for v in range(u + 1, g.n):
                 if not g.has_edge(u, v):
                     assert edge_add_delta(g, u, v) <= bound
+
+
+class TestScaledDeltas:
+    """The integer T4 kernel against the Fraction path of edge_add_delta."""
+
+    @given(graphs(min_n=3, max_n=20))
+    @settings(max_examples=60)
+    def test_matches_edge_add_delta(self, g):
+        lcm = _binomial_lcm(g.n)
+        got = list(_scaled_deltas(g._masks, lcm))
+        assert [(u, v) for _, u, v in got] == [
+            (u, v) for u in range(g.n) for v in range(u + 1, g.n) if not g.has_edge(u, v)
+        ]
+        for value, u, v in got:
+            assert Fraction(value, g.n * lcm) == edge_add_delta(g, u, v)
+
+    def test_every_pair_of_order_7(self):
+        lcm = _binomial_lcm(7)
+        checked = 0
+        for g in enumerate_graphs(7, DegreeConstraint.any_degree()):
+            for value, u, v in _scaled_deltas(g._masks, lcm):
+                assert Fraction(value, 7 * lcm) == edge_add_delta(g, u, v)
+                checked += 1
+        assert checked == 10962
 
 
 class TestBounds:

@@ -20,8 +20,9 @@ from ccmax import (
     is_connected,
     to_graph6,
 )
-from ccmax.enumeration import _SPLIT, _deletable
-from ccmax.graphs import _spans
+import ccmax.enumeration as enumeration
+from ccmax.enumeration import _SPLIT, _deletable, _deletes_to, _invariants
+from ccmax.graphs import _canon_masks, _spans
 
 # OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
 # (connected 4-regular graphs)
@@ -156,6 +157,22 @@ def test_deletable_is_non_cut():
             assert _deletable(masks, v, True) == (v not in cuts)
             assert _deletable(masks, v, False)
     assert _spans((), 0)
+
+
+def test_tie_check_without_canon_on_other_f_multiset(monkeypatch):
+    # K4 minus a vertex is K3: against the parent P3, whose f multiset
+    # differs, the tie check answers no without a canonical labelling;
+    # against K3 it needs one
+    calls = []
+    monkeypatch.setattr(enumeration, "_canon_masks", lambda m: calls.append(m) or _canon_masks(m))
+    k4 = _canon_masks([0b1110, 0b1101, 0b1011, 0b0111])
+    fmin = min(_invariants(k4))
+    for parent in ((0b010, 0b101, 0b010), (0b110, 0b101, 0b011)):
+        parent = _canon_masks(parent)
+        assert _deletes_to(k4, fmin, True, parent, sorted(_invariants(parent))) == (
+            parent == _canon_masks((0b110, 0b101, 0b011))
+        )
+    assert len(calls) == 1
 
 
 class TestOutputProperties:

@@ -141,6 +141,13 @@ class TestTheorem4:
         with pytest.raises(ValueError, match=r"K_\{2,3\}.*" + re.escape(rep)):
             verify_theorem4(5)
 
+    def test_maximum_cross_checked(self, monkeypatch):
+        # every maximising pair of the integer scan is recomputed with the
+        # Fraction path; a disagreement raises instead of reporting
+        monkeypatch.setattr(harness, "edge_add_delta", lambda g, u, v: Fraction(-1))
+        with pytest.raises(RuntimeError, match="disagrees with edge_add_delta -1"):
+            verify_theorem4(5)
+
 
 class TestCaveman:
     def test_k3_l2(self):
