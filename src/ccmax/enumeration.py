@@ -1,31 +1,36 @@
 """Isomorph-free exhaustive enumeration of small graphs under degree
-constraints, by canonical deletion (McKay, "Isomorph-free exhaustive
+constraints, by canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26 (1998) 306-324).
 
 Graphs are grown one vertex at a time. A child of an order-m canonical
-parent P attaches the new vertex m to an admissible neighbour set. Its
-deletable vertices are its non-cut vertices for connected targets (deleting
-one leaves a connected graph, so connected graphs are reached through
-connected intermediates) and all of its vertices otherwise. Among them the
-canonical deletion vertex has minimal f(v) = (degree, sum of neighbour
-degrees) and, among those, the highest position in the canonical labelling.
-A child is kept only when deleting that vertex gives back P's class:
+parent P attaches the new vertex m to an admissible neighbour set, and only
+one neighbour set per orbit of Aut(P) is tried: the canonical search
+reports generators of each graph's automorphism group (graphs._canon_masks),
+and the orbits are closed over them. A child's deletable vertices are its
+non-cut vertices for connected targets (deleting one leaves a connected
+graph, so connected graphs are reached through connected intermediates) and
+all of its vertices otherwise. Among them the canonical deletion vertex has
+minimal f(v) = (degree, sum of neighbour degrees), then minimal h(v) = (size
+of the distance-2 ball, triangles at v), then the highest position in the
+canonical labelling. A child is kept only when m lies in the orbit of that
+vertex under the child's automorphism group:
 
-- a child in which some deletable vertex has a smaller f than m is dropped
-  without a canonical labelling;
-- a child in which m alone has minimal f is kept;
-- otherwise the child's canonical copy C* is kept iff C* minus its canonical
-  deletion vertex labels canonically as P.
+- a child in which some deletable vertex has a smaller (f, h) than m is
+  dropped without a canonical labelling;
+- a child in which m alone has minimal (f, h) is kept;
+- otherwise the child's canonical labelling decides: m's position must be
+  the highest of the tied positions or share an orbit with it.
 
-Every class is thereby produced from exactly one parent class, so a level is
-the union of per-parent sets (duplicates within one parent come from
-automorphic neighbour sets) and needs no level-wide deduplication. Regular
-targets also prune prefixes that cannot complete to a k-regular graph; every
-induced subgraph of a k-regular graph passes that test, so no target graph
-loses its chain of canonical parents. Work is split at most once, as in
-nauty's geng (res/mod): levels grow serially until one has enough parents,
-and each worker grows its share of that level to order n. As every class has
-one parent, the classes do not depend on the split; they are sorted once by
+Every class is thereby produced exactly once, from one parent class and one
+neighbour set, so a level is the concatenation of the parents' children and
+needs no deduplication. Regular targets add only neighbour sets that hold
+every vertex too short of edges to wait for a later one, and prune prefixes
+that cannot complete to a k-regular graph; every induced subgraph of a
+k-regular graph passes that test, so no target graph loses its chain of
+canonical parents. Work is split at most once, as in nauty's geng
+(res/mod): levels grow serially until one has enough parents, and each
+worker grows its share of that level to order n. As every class has one
+parent, the classes do not depend on the split; they are sorted once by
 canonical graph6.
 """
 
@@ -35,10 +40,19 @@ import concurrent.futures
 import os
 from dataclasses import dataclass
 from itertools import combinations, repeat
+from operator import getitem
 from typing import Sequence
 
 from .graphs import (
-    CapabilityError, Graph, _canon_masks, _is_int, _need_int, _spans, is_connected, to_graph6
+    CapabilityError,
+    Graph,
+    _canon_masks,
+    _edges_in,
+    _is_int,
+    _need_int,
+    _spans,
+    is_connected,
+    to_graph6,
 )
 
 MODE_ANY = "any"
@@ -143,61 +157,94 @@ def _deletable(masks: Sequence[int], v: int, connected: bool) -> bool:
     return _spans(masks, ((1 << len(masks)) - 1) ^ (1 << v))
 
 
-def _delete(masks: Sequence[int], p: int) -> list[int]:
-    # masks of the graph without vertex p, later vertices shifted down
-    low = (1 << p) - 1
-    return [x & low | x >> (p + 1) << p for i, x in enumerate(masks) if i != p]
+def _h(masks: Sequence[int], v: int) -> int:
+    # h(v) = (size of the distance-2 ball, triangles at v), packed as f is
+    nbrs = masks[v]
+    ball = nbrs | 1 << v
+    rest = nbrs
+    while rest:
+        low = rest & -rest
+        ball |= masks[low.bit_length() - 1]
+        rest ^= low
+    return ball.bit_count() << _F_SHIFT | _edges_in(masks, nbrs)
 
 
-def _deletes_to(
-    canon: tuple[int, ...], fmin: int, connected: bool, parent: tuple[int, ...], parent_f: list[int]
-) -> bool:
-    # The canonical deletion vertex of a canonical child is its highest
-    # deletable position with minimal f; the child belongs to parent iff
-    # deleting that vertex gives back parent's class. parent_f is the sorted
-    # f of parent: isomorphic graphs have the same multiset of f, so a
-    # different one is an exact "no" without a canonical labelling.
-    f = _invariants(canon)
-    p = next(
-        p for p in reversed(range(len(canon))) if f[p] == fmin and _deletable(canon, p, connected)
-    )
-    rest = _delete(canon, p)
-    return sorted(_invariants(rest)) == parent_f and _canon_masks(rest) == parent
+def _image(perm: Sequence[int], mask: int) -> int:
+    # the vertex set mask moved by the permutation perm
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
+def _orbit(gens: Sequence[Sequence[int]], x, move) -> set:
+    # the orbit of x under the group that gens generate; move(g, x) is the
+    # image of x under g
+    seen = {x}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        for g in gens:
+            z = move(g, y)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
 
 
 def _children(
     parent: tuple[int, ...], m: int, n: int, c: DegreeConstraint
 ) -> list[tuple[int, ...]]:
     # Canonical masks of the admissible children of an order-m canonical
-    # parent whose canonical deletion gives back parent (module docstring).
+    # parent that pass the orbit test, one per class (module docstring).
     # No vertex of an order-m parent has degree m, so m caps the any mode.
     cap = m if c.bound is None else c.bound
     eligible = [u for u in range(m) if parent[u].bit_count() < cap]
     max_size = min(cap, len(eligible))
     connected = c.connected
     regular = c.mode == MODE_REGULAR
+    newm = m + 1
     base = _invariants(parent)
-    base_f = sorted(base)
+    # A regular target's vertex that lacks more edges than the n - m - 1
+    # vertices after m can give must take one from m: the regular prefix
+    # test would reject every subset without it.
+    forced = 0
+    forced_f = 0  # what the forced vertices add to the new vertex's f
+    if regular:
+        for u in eligible:
+            if cap - parent[u].bit_count() > n - newm:
+                forced |= 1 << u
+                forced_f += (base[u] >> _F_SHIFT) + 1
+    free = [u for u in eligible if not forced >> u & 1]
     # A deletable vertex u of the parent stays deletable in a child unless
     # the new vertex's only neighbour is u, and gains at most one edge; so a
     # new vertex of degree above u's + 1 never has minimal f.
     by_degree = sorted((x.bit_count(), u) for u, x in enumerate(parent))
     d0 = next(d for d, u in by_degree if _deletable(parent, u, connected))
     max_size = min(max_size, d0 + 1)
+    # Neighbour sets in one orbit of Aut(parent) give isomorphic children,
+    # so only the first of each orbit is tried.
+    gens = getattr(parent, "gens", ())
+    seen: set[int] = set()
     new = 1 << m
-    newm = m + 1
-    verdicts: dict[tuple[int, ...], bool] = {}
+    out = []
     # f in the child, from the parent's: every neighbour of u in the subset
     # gains one degree, and a vertex u in the subset gains one degree and
     # the new vertex (of degree size) as a neighbour.
-    for size in range(1 if connected else 0, max_size + 1):
+    for size in range(max(1 if connected else 0, forced.bit_count()), max_size + 1):
         bump = (1 << _F_SHIFT) + size
-        for subset in combinations(eligible, size):
-            smask = 0
-            fm = size << _F_SHIFT
+        for subset in combinations(free, size - forced.bit_count()):
+            smask = forced
+            fm = (size << _F_SHIFT) + forced_f
             for u in subset:
                 smask |= 1 << u
                 fm += (base[u] >> _F_SHIFT) + 1
+            if gens:
+                if smask in seen:
+                    continue
+                seen |= _orbit(gens, smask, _image)
             masks = list(parent)
             lower = []
             ties = []
@@ -216,13 +263,26 @@ def _children(
                 continue
             if regular and not _regular_prefix_ok(masks, newm, n, c.bound):
                 continue
+            ties = [u for u in ties if _deletable(masks, u, connected)]
+            if ties:
+                hm = _h(masks, m)
+                hs = [_h(masks, u) for u in ties]
+                if min(hs) < hm:
+                    continue
+                ties = [u for u, h in zip(ties, hs) if h == hm]
             canon = _canon_masks(masks)
-            # Children with equal canonical masks (automorphic neighbour
-            # sets) get the same verdict, which depends on canon alone.
-            if canon not in verdicts:
-                tied = any(_deletable(masks, u, connected) for u in ties)
-                verdicts[canon] = not tied or _deletes_to(canon, fm, connected, parent, base_f)
-    return [canon for canon, kept in verdicts.items() if kept]
+            # The canonical deletion vertex is the highest canonical position
+            # among m and its ties; the child is kept iff m lies in its orbit.
+            pos = canon.pos
+            top = max((pos[u] for u in ties), default=-1)
+            if top > pos[m] and top not in _orbit(canon.gens, pos[m], getitem):
+                continue
+            if newm < n and canon.gens:
+                del canon.pos  # the next level reads only the generators
+                out.append(canon)
+            else:
+                out.append(tuple(canon))
+    return out
 
 
 def _grow(parents: list, m: int, stop: int, n: int, c: DegreeConstraint) -> list:

@@ -270,6 +270,13 @@ def parse_graph6(line: str) -> Graph:
 # labelling; otherwise one depth-first branch and bound over all positions,
 # with twin skipping, finds the maximum, singletons first with one
 # candidate each. Works well through n = 20; enforced by CANONICAL_MAX_N.
+#
+# The search also meets automorphisms: a leaf whose string equals the best
+# one, and each twin it skips. For the enumerator (_canon_masks) it records
+# them, and together they generate the whole automorphism group: every
+# labelling with the best string is reached, or lies in a skipped twin's
+# subtree, which the twin transposition maps onto a searched one. The
+# strings and their pruning do not depend on whether anything is recorded.
 
 
 @dataclass(frozen=True, order=True)
@@ -351,8 +358,15 @@ def _refine_classes(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
 _COL_SHIFT = 64
 
 
-def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list[int]:
-    """Vertices in canonical order: perm[p] is the vertex placed at p."""
+def _canonical_perm(
+    masks: Sequence[int], nbrs: Sequence[Sequence[int]], found: list | None = None
+) -> list[int]:
+    """Vertices in canonical order: perm[p] is the vertex placed at p.
+
+    With a list for found, it appends automorphisms that generate the whole
+    group, each as the list of vertex images: one for each leaf equal to the
+    best leaf, and one transposition for each twin it skips.
+    """
     n = len(masks)
     classes = _refine_classes(nbrs)
     if len(classes) == n:
@@ -374,6 +388,11 @@ def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list
         nonlocal best, best_perm
         if j == n:
             if tight:
+                if found is not None:
+                    image = [0] * n
+                    for u, w in zip(best_perm, placed):
+                        image[u] = w
+                    found.append(image)
                 return False
             best = cur[:]
             best_perm = placed[:]
@@ -398,6 +417,10 @@ def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list
                     twin = True
                     break
             if twin:
+                if found is not None:
+                    image = list(range(n))
+                    image[u], image[v] = v, u
+                    found.append(image)
                 continue
             tried.append(v)
             cur[j] = col
@@ -420,10 +443,13 @@ def _canonical_perm(masks: Sequence[int], nbrs: Sequence[Sequence[int]]) -> list
     return best_perm
 
 
-def _canonical_masks(masks: Sequence[int]) -> tuple[int, ...]:
-    """Adjacency masks of the canonically labelled copy."""
+def _canonical_masks(
+    masks: Sequence[int], found: list | None = None
+) -> tuple[tuple[int, ...], list[int]]:
+    """Adjacency masks of the canonically labelled copy, and pos: pos[v] is
+    the canonical position of vertex v."""
     nbrs = _neighbor_lists(masks)
-    perm = _canonical_perm(masks, nbrs)
+    perm = _canonical_perm(masks, nbrs, found)
     pos = [0] * len(perm)
     for p, v in enumerate(perm):
         pos[v] = p
@@ -433,14 +459,14 @@ def _canonical_masks(masks: Sequence[int]) -> tuple[int, ...]:
         for w in nbrs[v]:
             mv |= 1 << pos[w]
         out.append(mv)
-    return tuple(out)
+    return tuple(out), pos
 
 
 def canonical_graph(g: Graph) -> Graph:
     """The canonically labeled copy of g."""
     if g.n > CANONICAL_MAX_N:
         raise CapabilityError(f"canonical form supports n <= {CANONICAL_MAX_N}, got {g.n}")
-    return Graph(g.n, _canonical_masks(g._masks))
+    return Graph(g.n, _canonical_masks(g._masks)[0])
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -448,9 +474,28 @@ def canonical_form(g: Graph) -> CanonicalForm:
     return CanonicalForm(to_graph6(canonical_graph(g)))
 
 
-def _canon_masks(masks: Sequence[int]) -> tuple[int, ...]:
+class _Canon(tuple):
+    """Canonical masks, equal to and hashing as the plain tuple, that carry
+    `gens`, generators of the automorphism group as tuples of canonical
+    positions (gens[i][p] is the image of position p; empty when the group
+    is trivial), and `pos`, the canonical position of each input vertex."""
+
+
+def _canon_masks(masks: Sequence[int]) -> _Canon:
     # The enumerator's entry point: masks in and out, no Graph and no
     # capability check (enumeration caps are far below CANONICAL_MAX_N).
-    # Kept apart from canonical_graph, which does not call it, so that the
-    # two count as separate calls when perfbench traces them.
-    return _canonical_masks(masks)
+    # Kept apart from canonical_graph, which records no automorphisms, so
+    # that the two count as separate calls when perfbench traces them.
+    found: list[list[int]] = []
+    out, pos = _canonical_masks(masks, found)
+    canon = _Canon(out)
+    # an automorphism a of the input moves position pos[v] to pos[a[v]]
+    gens = {}
+    for a in found:
+        image = [0] * len(pos)
+        for v, p in enumerate(pos):
+            image[p] = pos[a[v]]
+        gens[tuple(image)] = None
+    canon.gens = tuple(gens)
+    canon.pos = pos
+    return canon

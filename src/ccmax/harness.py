@@ -91,8 +91,9 @@ def _jsonify(value):
 def _scan(pairs, bound: Fraction):
     """The maximum over a stream of (value, key) pairs (0 when it is empty),
     the sorted keys that attain it, the sorted keys whose value equals
-    bound, and the number of pairs. A key starts with the canonical graph6
-    of the graph it names."""
+    bound, and the number of pairs. A key starts with the index of the graph
+    it names in an enumeration, which lists graphs in canonical graph6 order,
+    so keys sort as the graph6 strings would."""
     max_found = None
     argmax: list = []
     equality: list = []
@@ -110,18 +111,19 @@ def _scan(pairs, bound: Fraction):
 
 
 def _report(
-    theorem_id, parameters, bound, max_found, argmax, equality, predicted, examined, details
+    theorem_id, parameters, bound, max_found, extremal, equality, predicted, examined, details
 ) -> TheoremReport:
     """The verdict of an exhaustive check over examined graphs, from the
-    maximum and the keys of _scan: the maximum stays at or below the bound,
-    and the equality cases are exactly the predicted ones."""
+    maximum, the graph6 of its graphs and the equality cases: the maximum
+    stays at or below the bound, and the equality cases are exactly the
+    predicted ones."""
     characterization_ok = equality == predicted
     return TheoremReport(
         theorem_id=theorem_id,
         parameters=parameters,
         bound=bound,
         max_found=max_found,
-        extremal_graphs=tuple(sorted({key[0] for key in argmax})),
+        extremal_graphs=tuple(sorted(set(extremal))),
         attained=max_found == bound,
         characterization_ok=characterization_ok,
         graphs_examined=examined,
@@ -130,25 +132,27 @@ def _report(
     )
 
 
-def _added_edges(by_g6: dict[str, Graph], lcm: int):
-    # (n * lcm * delta, (graph6, (u, v))) for every graph and non-adjacent pair
-    for s, g in by_g6.items():
+def _added_edges(graphs: list[Graph], lcm: int):
+    # (n * lcm * delta, (index, (u, v))) for every graph and non-adjacent pair
+    for i, g in enumerate(graphs):
         for value, u, v in _scaled_deltas(g._masks, lcm):
-            yield value, (s, (u, v))
+            yield value, (i, (u, v))
 
 
 def _verify_cc(theorem_id, parameters, bound, graphs, predicted, details) -> TheoremReport:
-    """The verdict on C over graphs: the maximum stays at or below bound and
-    the graphs at the bound, as canonical graph6, are exactly predicted.
-    details gains the equality graphs and the claim checks of each
-    maximizer."""
-    values = ((graph_cc(g), (to_graph6(g), g)) for g in graphs)
+    """The verdict on C over graphs, an enumeration: the maximum stays at or
+    below bound and the graphs at the bound, as canonical graph6, are
+    exactly predicted. details gains the equality graphs and the claim
+    checks of each maximizer."""
+    values = ((graph_cc(g), i) for i, g in enumerate(graphs))
     max_found, argmax, equality, _ = _scan(values, bound)
-    equality = [s for s, _ in equality]
+    g6 = {i: to_graph6(graphs[i]) for i in {*argmax, *equality}}
+    equality = [g6[i] for i in equality]
     details["equality_graphs"] = equality
-    details["maximizer_claims"] = {s: claim_checks(g) for s, g in argmax}
+    details["maximizer_claims"] = {g6[i]: claim_checks(graphs[i]) for i in argmax}
+    extremal = [g6[i] for i in argmax]
     return _report(
-        theorem_id, parameters, bound, max_found, argmax, equality, predicted, len(graphs), details
+        theorem_id, parameters, bound, max_found, extremal, equality, predicted, len(graphs), details
     )
 
 
@@ -202,20 +206,20 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     _need_int("n", n, 3)
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
-    by_g6 = {to_graph6(g): g for g in graphs}
     # integers over the common denominator n * lcm, and the bound over it
     lcm = _binomial_lcm(n)
-    top, argmax, equality, pairs_examined = _scan(_added_edges(by_g6, lcm), bound * n * lcm)
+    top, argmax, equality, pairs_examined = _scan(_added_edges(graphs, lcm), bound * n * lcm)
     max_found = Fraction(top, n * lcm)
-    for s, (u, v) in argmax:
-        exact = edge_add_delta(by_g6[s], u, v)
+    for i, (u, v) in argmax:
+        exact = edge_add_delta(graphs[i], u, v)
         if exact != max_found:
             raise RuntimeError(
-                f"integer delta {max_found} disagrees with edge_add_delta {exact} at {s} {(u, v)}"
+                f"integer delta {max_found} disagrees with edge_add_delta {exact} "
+                f"at {to_graph6(graphs[i])} {(u, v)}"
             )
     rep = canonical_graph(complete_bipartite(2, n - 2))
     k2_rep = to_graph6(rep)
-    if k2_rep not in by_g6:
+    if rep not in graphs:
         raise ValueError(
             f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
         )
@@ -224,14 +228,18 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
         for u, v in _non_edges(rep._masks)
         if rep.degree(u) == n - 2 and rep.degree(v) == n - 2
     ]
+    g6 = {i: to_graph6(graphs[i]) for i, _ in argmax + equality}
+    argmax = [(g6[i], uv) for i, uv in argmax]
+    equality = [(g6[i], uv) for i, uv in equality]
     details = {
         "pairs_examined": pairs_examined,
         "max_pairs": argmax,
         "equality_pairs": equality,
         "predicted_pairs": predicted,
     }
+    extremal = [s for s, _ in argmax]
     return _report(
-        "T4", {"n": n}, bound, max_found, argmax, equality, predicted, len(graphs), details
+        "T4", {"n": n}, bound, max_found, extremal, equality, predicted, len(graphs), details
     )
 
 

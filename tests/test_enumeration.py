@@ -21,7 +21,7 @@ from ccmax import (
     to_graph6,
 )
 import ccmax.enumeration as enumeration
-from ccmax.enumeration import _SPLIT, _deletable, _deletes_to, _invariants
+from ccmax.enumeration import _SPLIT, _deletable
 from ccmax.graphs import _canon_masks, _spans
 
 # OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
@@ -159,20 +159,20 @@ def test_deletable_is_non_cut():
     assert _spans((), 0)
 
 
-def test_tie_check_without_canon_on_other_f_multiset(monkeypatch):
-    # K4 minus a vertex is K3: against the parent P3, whose f multiset
-    # differs, the tie check answers no without a canonical labelling;
-    # against K3 it needs one
+def test_rejected_tie_costs_no_second_canon_call(monkeypatch):
+    # Grown from every any-degree graph of order 6, each class of order 7
+    # comes out once. A tied child is kept or dropped by the orbit test on
+    # its own labelling: every canonical call labels a child of order 7, and
+    # the calls that keep nothing are the dropped ties.
+    c = DegreeConstraint.any_degree()
+    parents = [_canon_masks(g._masks) for g in enumerate_graphs(6, c)]
+    want = sorted(g._masks for g in enumerate_graphs(7, c))
     calls = []
     monkeypatch.setattr(enumeration, "_canon_masks", lambda m: calls.append(m) or _canon_masks(m))
-    k4 = _canon_masks([0b1110, 0b1101, 0b1011, 0b0111])
-    fmin = min(_invariants(k4))
-    for parent in ((0b010, 0b101, 0b010), (0b110, 0b101, 0b011)):
-        parent = _canon_masks(parent)
-        assert _deletes_to(k4, fmin, True, parent, sorted(_invariants(parent))) == (
-            parent == _canon_masks((0b110, 0b101, 0b011))
-        )
-    assert len(calls) == 1
+    kept = [child for parent in parents for child in enumeration._children(parent, 6, 7, c)]
+    assert sorted(kept) == want and len(kept) == ALL_GRAPHS[7]
+    assert all(len(masks) == 7 for masks in calls)
+    assert len(calls) > len(kept)
 
 
 class TestOutputProperties:

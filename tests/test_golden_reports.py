@@ -1,10 +1,9 @@
 """Golden reports: TheoremReport.to_json() must not change by a single byte.
 
 tests/golden/ holds the to_json() of every cell of ccmax.harness.SWEEP, the
-sweep of scripts/verify_all.py, which checks all of them. This module asserts
-every cell but the SLOW ones. Any change to enumeration order, canonical
-labels, exact values or the structure predicates shows up here as a byte
-diff. If a change of output is intended, regenerate the files with
+sweep of scripts/verify_all.py, which checks all of them, as does this
+module. Any change to enumeration order, canonical labels, exact values or
+the structure predicates shows up here as a byte diff. If a change of output is intended, regenerate the files with
 
     PYTHONPATH=src python tests/test_golden_reports.py
 
@@ -21,15 +20,9 @@ from ccmax.harness import SWEEP
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# Left to scripts/verify_all.py for its time at 1 worker on a 2-core host:
-# T23 n=12 took 7-15 s, within reach of the 30 s per-test limit on a slow
-# run of that host. T4 n=8 takes 2-4 s there and is asserted here.
-SLOW = {"T23_n12"}
-
-
-@pytest.mark.parametrize(
-    "name,run", [pytest.param(name, run, id=name) for name, run in SWEEP if name not in SLOW]
-)
+# The slowest cell, T23 n=12, takes 9-10 s at 1 worker on a 2-core host
+# (19,430 graphs), within the 30 s per-test limit.
+@pytest.mark.parametrize("name,run", [pytest.param(name, run, id=name) for name, run in SWEEP])
 def test_report_bytes(name, run):
     want = (GOLDEN / f"{name}.json").read_bytes()
     assert (run(1).to_json() + "\n").encode() == want
