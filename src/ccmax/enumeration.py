@@ -50,6 +50,7 @@ from .graphs import (
     _edges_in,
     _is_int,
     _need_int,
+    _orbit,
     _spans,
     is_connected,
     to_graph6,
@@ -177,21 +178,6 @@ def _image(perm: Sequence[int], mask: int) -> int:
         out |= 1 << perm[low.bit_length() - 1]
         mask ^= low
     return out
-
-
-def _orbit(gens: Sequence[Sequence[int]], x, move) -> set:
-    # the orbit of x under the group that gens generate; move(g, x) is the
-    # image of x under g
-    seen = {x}
-    todo = [x]
-    while todo:
-        y = todo.pop()
-        for g in gens:
-            z = move(g, y)
-            if z not in seen:
-                seen.add(z)
-                todo.append(z)
-    return seen
 
 
 def _children(

@@ -9,6 +9,7 @@ format) and canonical forms for isomorphism testing at small orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import getitem
 from typing import Iterable, Iterator, Sequence
 
 GRAPH6_MAX_N = 62
@@ -132,7 +133,8 @@ def from_edges(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     _need_int("n", n, 0)
     masks = [0] * n
     for u, v in edges:
-        if not (_is_int(u) and _is_int(v) and 0 <= u < n and 0 <= v < n):
+        # inline, as in Graph._check_vertex: this runs once per edge
+        if not (type(u) is int and type(v) is int and 0 <= u < n and 0 <= v < n):
             raise ValueError(f"edge ({u!r}, {v!r}) needs int endpoints in 0..{n - 1}")
         if u == v:
             raise ValueError(f"self-loop at vertex {u}")
@@ -271,12 +273,25 @@ def parse_graph6(line: str) -> Graph:
 # with twin skipping, finds the maximum, singletons first with one
 # candidate each. Works well through n = 20; enforced by CANONICAL_MAX_N.
 #
-# The search also meets automorphisms: a leaf whose string equals the best
-# one, and each twin it skips. For the enumerator (_canon_masks) it records
+# How the maximum is found. The search meets automorphisms: a leaf whose
+# string equals the best one, and each twin it skips. It always collects
 # them, and together they generate the whole automorphism group: every
-# labelling with the best string is reached, or lies in a skipped twin's
-# subtree, which the twin transposition maps onto a searched one. The
-# strings and their pruning do not depend on whether anything is recorded.
+# labelling with the best string is reached, or lies in a skipped subtree
+# that a collected automorphism maps onto a searched one. Three freedoms cut
+# the work and change no string, since each skips only subtrees that cannot
+# hold a larger one:
+# - candidate order: any order among equal columns reaches the same maximum,
+#   and a tight node (columns so far equal to the best's) drops every
+#   candidate whose column is below the best's before sorting;
+# - start order: a one-colour partition (a regular graph) is searched from
+#   the vertices with the most triangles, then the most pairs of common
+#   neighbours, since the best string tends to start there;
+# - root orbit pruning: a start vertex in the orbit of a tried one under the
+#   automorphisms collected so far only repeats that one's subtree under a
+#   known automorphism, so it is skipped. Only position 0 may do this: deeper
+#   down, those automorphisms need not fix the vertices already placed.
+# A different optimal leaf may be found, so the enumerator (_canon_masks)
+# may see other canonical positions, but the same masks and the same group.
 
 
 @dataclass(frozen=True, order=True)
@@ -358,19 +373,59 @@ def _refine_classes(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
 _COL_SHIFT = 64
 
 
+def _orbit(gens: Sequence[Sequence[int]], x, move) -> set:
+    # the orbit of x under the group that gens generate; move(g, x) is the
+    # image of x under g
+    seen = {x}
+    todo = [x]
+    while todo:
+        y = todo.pop()
+        for g in gens:
+            z = move(g, y)
+            if z not in seen:
+                seen.add(z)
+                todo.append(z)
+    return seen
+
+
+def _start_key(masks: Sequence[int], nbrs: Sequence[Sequence[int]], v: int) -> tuple[int, int]:
+    # (triangles at v, sum of c(c-1) over the other vertices w, c being the
+    # number of common neighbours of v and w): vertices rich in short cycles
+    # tend to start the largest string, whose first columns fill up early
+    mv = masks[v]
+    ball = 0
+    tri = 0
+    for x in nbrs[v]:
+        ball |= masks[x]
+        tri += (masks[x] & mv).bit_count()
+    pairs = 0
+    ball &= ~(1 << v)
+    while ball:
+        low = ball & -ball
+        c = (masks[low.bit_length() - 1] & mv).bit_count()
+        pairs += c * (c - 1)
+        ball ^= low
+    return tri, pairs
+
+
 def _canonical_perm(
     masks: Sequence[int], nbrs: Sequence[Sequence[int]], found: list | None = None
 ) -> list[int]:
     """Vertices in canonical order: perm[p] is the vertex placed at p.
 
-    With a list for found, it appends automorphisms that generate the whole
-    group, each as the list of vertex images: one for each leaf equal to the
-    best leaf, and one transposition for each twin it skips.
+    The search collects automorphisms that generate the whole group, each
+    as the list of vertex images: one for each leaf equal to the best leaf,
+    and one transposition for each twin it skips. It prunes start vertices
+    with them, and appends them to found when given a list.
     """
     n = len(masks)
     classes = _refine_classes(nbrs)
     if len(classes) == n:
         return [v for (v,) in classes]
+    if len(classes) == 1:
+        classes[0].sort(key=lambda v: _start_key(masks, nbrs, v), reverse=True)
+    if found is None:
+        found = []
     pos_class: list[int] = []
     for ci, cls in enumerate(classes):
         pos_class.extend([ci] * len(cls))
@@ -388,11 +443,10 @@ def _canonical_perm(
         nonlocal best, best_perm
         if j == n:
             if tight:
-                if found is not None:
-                    image = [0] * n
-                    for u, w in zip(best_perm, placed):
-                        image[u] = w
-                    found.append(image)
+                image = [0] * n
+                for u, w in zip(best_perm, placed):
+                    image[u] = w
+                found.append(image)
                 return False
             best = cur[:]
             best_perm = placed[:]
@@ -400,13 +454,24 @@ def _canonical_perm(
         # Deeper calls put back every vertex they take from a class, so cls
         # holds exactly the vertices of its class not yet placed.
         cls = classes[pos_class[j]]
-        cands = cls[:] if len(cls) == 1 else sorted(cls, key=rcol.__getitem__, reverse=True)
+        if tight:
+            least = best[j]
+            cands = [v for v in cls if rcol[v] >= least]
+        else:
+            cands = cls[:]
+        if len(cands) > 1:
+            cands.sort(key=rcol.__getitem__, reverse=True)
         updated = False
         tried: list[int] = []
         for v in cands:
             col = rcol[v]
             if tight and col < best[j]:
                 break
+            # A start vertex in the orbit of a tried one, under the
+            # automorphisms found so far, only repeats that one's subtree.
+            # Deeper down they need not fix the placed vertices.
+            if j == 0 and found and not _orbit(found, v, getitem).isdisjoint(tried):
+                continue
             mv = masks[v]
             bv = 1 << v
             twin = False
@@ -417,10 +482,9 @@ def _canonical_perm(
                     twin = True
                     break
             if twin:
-                if found is not None:
-                    image = list(range(n))
-                    image[u], image[v] = v, u
-                    found.append(image)
+                image = list(range(n))
+                image[u], image[v] = v, u
+                found.append(image)
                 continue
             tried.append(v)
             cur[j] = col
