@@ -10,10 +10,10 @@ and every report matches its golden. Standard error gets one
 one run to the next but for its total line.
 
 On a 2-core machine with Python 3.11 the 30 cells, checks included, took
-15.3-16.4 s at 1 worker and 10.9-11.9 s at 2 (the host's speed swings by
-up to 2x). T23 n=12 is over half of it (8.5-9.2 s at 1 worker, mostly
-enumeration); T4 n=8 takes 2.2-2.5 s, enumeration included. --workers
-splits each large enumeration once across processes.
+10.9-12.5 s at 1 worker and 8.0-9.7 s at 2 (3 runs each; the host's speed
+swings by up to 2x). T23 n=12 is over half of it (5.8-7.1 s at 1 worker,
+mostly enumeration); T4 n=8 takes 1.3-1.9 s, enumeration included.
+--workers splits each large enumeration once across processes.
 """
 
 import argparse

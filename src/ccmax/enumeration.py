@@ -27,7 +27,27 @@ needs no deduplication. Regular targets add only neighbour sets that hold
 every vertex too short of edges to wait for a later one, and prune prefixes
 that cannot complete to a k-regular graph; every induced subgraph of a
 k-regular graph passes that test, so no target graph loses its chain of
-canonical parents. Work is split at most once, as in nauty's geng
+canonical parents.
+
+Three rejections come before the expensive step. Each drops only children
+that a later test drops anyway, so the classes and their order do not
+change:
+
+- a neighbour set of size d0 + 1, d0 the least degree of a deletable parent
+  vertex, is built only if it holds every deletable vertex of degree d0.
+  One left out keeps degree d0, so a smaller f than the new vertex, and
+  stays deletable (the new vertex has another neighbour), so the f test
+  would drop the child;
+- for a regular target, the prefix test runs once per neighbour-set size,
+  not once per set: with the forced vertices in, every old vertex meets its
+  bound, and what is left depends on the size alone;
+- for a regular target of order n, a child of order n - 1 has one
+  completion: the last vertex joins every vertex still short of an edge.
+  All vertices of the completion share one f, so the next level drops it
+  when a deletable vertex has a smaller h than the last vertex. Such a
+  child has no descendant and is dropped before its canonical labelling.
+
+Work is split at most once, as in nauty's geng
 (res/mod): levels grow serially until one has enough parents, and each
 worker grows its share of that level to order n. As every class has one
 parent, the classes do not depend on the split; they are sorted once by
@@ -127,8 +147,27 @@ def _regular_prefix_ok(masks: Sequence[int], m: int, n: int, k: int) -> bool:
         if d < 0 or d > rem:
             return False
         total += d
+    return _spare_ok(total, rem, k)
+
+
+def _spare_ok(total: int, rem: int, k: int) -> bool:
+    # the rem future vertices take `total` edges from the prefix; the rest
+    # of their rem * k edge ends must pair up among themselves
     spare = rem * k - total
     return spare >= 0 and spare % 2 == 0 and spare <= rem * (rem - 1)
+
+
+def _regular_sizes(parent: Sequence[int], n: int, k: int, sizes: range) -> list[int]:
+    # The sizes in `sizes` for which a child of the order-m prefix `parent`
+    # passes _regular_prefix_ok when its new vertex's neighbour set holds
+    # every forced vertex. The parent passed the test, so a vertex lacks at
+    # most rem + 1 edges, and exactly that many if forced: with the forced
+    # vertices in, every old vertex meets its bound. What is left depends on
+    # the size alone: the new vertex lacks k - size edges, and the total
+    # deficiency changes by k - 2 * size.
+    rem = n - len(parent) - 1
+    total = sum(k - x.bit_count() for x in parent)
+    return [s for s in sizes if k - s <= rem and _spare_ok(total + k - 2 * s, rem, k)]
 
 
 _F_SHIFT = 16
@@ -170,6 +209,39 @@ def _h(masks: Sequence[int], v: int) -> int:
     return ball.bit_count() << _F_SHIFT | _edges_in(masks, nbrs)
 
 
+def _least_deletable(parent: Sequence[int], connected: bool) -> tuple[int, int]:
+    # d0, the least degree of a deletable vertex, and the mask of the
+    # deletable vertices of degree d0; a graph of order >= 1 has a deletable
+    # vertex (a leaf of a spanning tree), so the loop returns
+    degrees = [x.bit_count() for x in parent]
+    for d in sorted(set(degrees)):
+        low = 0
+        for u, du in enumerate(degrees):
+            if du == d and _deletable(parent, u, connected):
+                low |= 1 << u
+        if low:
+            return d, low
+
+
+def _completion_ok(masks: Sequence[int], k: int, connected: bool) -> bool:
+    # An order-(n-1) prefix of a k-regular order-n target has one child:
+    # the last vertex joins every vertex short of an edge. All its vertices
+    # then share one f, so the next level drops that child iff a deletable
+    # vertex has a smaller h than the last vertex.
+    last = len(masks)
+    full = list(masks)
+    new = 0
+    for u, x in enumerate(masks):
+        if x.bit_count() < k:
+            full[u] = x | 1 << last
+            new |= 1 << u
+    full.append(new)
+    h_last = _h(full, last)
+    return not any(
+        _h(full, u) < h_last and _deletable(full, u, connected) for u in range(last)
+    )
+
+
 def _image(perm: Sequence[int], mask: int) -> int:
     # the vertex set mask moved by the permutation perm
     out = 0
@@ -197,19 +269,19 @@ def _children(
     # vertices after m can give must take one from m: the regular prefix
     # test would reject every subset without it.
     forced = 0
-    forced_f = 0  # what the forced vertices add to the new vertex's f
     if regular:
         for u in eligible:
             if cap - parent[u].bit_count() > n - newm:
                 forced |= 1 << u
-                forced_f += (base[u] >> _F_SHIFT) + 1
-    free = [u for u in eligible if not forced >> u & 1]
     # A deletable vertex u of the parent stays deletable in a child unless
     # the new vertex's only neighbour is u, and gains at most one edge; so a
-    # new vertex of degree above u's + 1 never has minimal f.
-    by_degree = sorted((x.bit_count(), u) for u, x in enumerate(parent))
-    d0 = next(d for d, u in by_degree if _deletable(parent, u, connected))
+    # new vertex of degree above u's + 1 never has minimal f, and one of
+    # degree d0 + 1 must take every deletable vertex of degree d0.
+    d0, low = _least_deletable(parent, connected)
     max_size = min(max_size, d0 + 1)
+    sizes = range(max(1 if connected else 0, forced.bit_count()), max_size + 1)
+    if regular:
+        sizes = _regular_sizes(parent, n, cap, sizes)
     # Neighbour sets in one orbit of Aut(parent) give isomorphic children,
     # so only the first of each orbit is tried.
     gens = getattr(parent, "gens", ())
@@ -219,11 +291,16 @@ def _children(
     # f in the child, from the parent's: every neighbour of u in the subset
     # gains one degree, and a vertex u in the subset gains one degree and
     # the new vertex (of degree size) as a neighbour.
-    for size in range(max(1 if connected else 0, forced.bit_count()), max_size + 1):
+    for size in sizes:
+        must = forced | low if size == d0 + 1 else forced
+        if must.bit_count() > size:
+            continue
+        pool = [u for u in eligible if not must >> u & 1]
+        must_f = sum((base[u] >> _F_SHIFT) + 1 for u in eligible if must >> u & 1)
         bump = (1 << _F_SHIFT) + size
-        for subset in combinations(free, size - forced.bit_count()):
-            smask = forced
-            fm = (size << _F_SHIFT) + forced_f
+        for subset in combinations(pool, size - must.bit_count()):
+            smask = must
+            fm = (size << _F_SHIFT) + must_f
             for u in subset:
                 smask |= 1 << u
                 fm += (base[u] >> _F_SHIFT) + 1
@@ -247,8 +324,6 @@ def _children(
             masks.append(smask)
             if any(_deletable(masks, u, connected) for u in lower):
                 continue
-            if regular and not _regular_prefix_ok(masks, newm, n, c.bound):
-                continue
             ties = [u for u in ties if _deletable(masks, u, connected)]
             if ties:
                 hm = _h(masks, m)
@@ -256,6 +331,8 @@ def _children(
                 if min(hs) < hm:
                     continue
                 ties = [u for u, h in zip(ties, hs) if h == hm]
+            if regular and newm == n - 1 and not _completion_ok(masks, cap, connected):
+                continue
             canon = _canon_masks(masks)
             # The canonical deletion vertex is the highest canonical position
             # among m and its ties; the child is kept iff m lies in its orbit.

@@ -175,6 +175,132 @@ def test_rejected_tie_costs_no_second_canon_call(monkeypatch):
     assert len(calls) > len(kept)
 
 
+def regular_levels(k, n, connected):
+    """(m, the order-m canonical prefixes) for m = 1..n-1 of the k-regular
+    order-n target, as the enumerator grows them."""
+    c = DegreeConstraint.regular(k, connected)
+    level = [(0,)] if enumeration._regular_prefix_ok((0,), 1, n, k) else []
+    for m in range(1, n):
+        yield m, level
+        level = enumeration._grow(level, m, m + 1, n, c)
+
+
+def with_vertex(parent, subset):
+    """parent's masks plus a new last vertex joined to subset."""
+    new = len(parent)
+    return [x | 1 << new if u in subset else x for u, x in enumerate(parent)] + [
+        sum(1 << u for u in subset)
+    ]
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "any"])
+@pytest.mark.parametrize("k", [2, 3, 4])
+def test_regular_sizes_equal_prefix_test(k, connected):
+    # Every neighbour set that holds the forced vertices (those short of
+    # more edges than the later vertices can give) passes _regular_prefix_ok
+    # exactly when its size is one _regular_sizes keeps.
+    outcomes = []
+    for n in range(k + 1, 11):
+        for m, parents in regular_levels(k, n, connected):
+            for parent in parents:
+                forced = [u for u in range(m) if k - parent[u].bit_count() > n - m - 1]
+                free = [u for u in range(m) if u not in forced and parent[u].bit_count() < k]
+                sizes = enumeration._regular_sizes(parent, n, k, range(k + 1))
+                for size in range(len(forced), min(k, len(forced) + len(free)) + 1):
+                    for rest in combinations(free, size - len(forced)):
+                        child = with_vertex(parent, {*forced, *rest})
+                        ok = enumeration._regular_prefix_ok(child, m + 1, n, k)
+                        assert (size in sizes) == ok, (n, parent, rest)
+                        outcomes.append(ok)
+    assert True in outcomes and False in outcomes
+
+
+@pytest.mark.parametrize(
+    "c,top",
+    [(DegreeConstraint.any_degree(), 7), (DegreeConstraint.max_degree(3, connected=True), 9)],
+    ids=["any", "subcubic-connected"],
+)
+def test_least_degree_forcing_skips_only_rejected_sets(c, top):
+    # A neighbour set of size d0 + 1 that misses a deletable vertex of the
+    # least deletable degree d0 is never tried. Each such set gives a child
+    # with a deletable vertex of smaller f than the new vertex, which the
+    # f test would drop.
+    skipped = 0
+    for m in range(1, top):
+        for g in enumerate_graphs(m, c):
+            parent = g._masks
+            degrees = [x.bit_count() for x in parent]
+            deletable = [u for u in range(m) if _deletable(parent, u, c.connected)]
+            d0 = min(degrees[u] for u in deletable)
+            low = {u for u in deletable if degrees[u] == d0}
+            assert enumeration._least_deletable(parent, c.connected) == (
+                d0, sum(1 << u for u in low)
+            )
+            cap = m if c.bound is None else c.bound
+            eligible = [u for u in range(m) if degrees[u] < cap]
+            for subset in combinations(eligible, d0 + 1):
+                if low <= set(subset):
+                    continue
+                child = with_vertex(parent, set(subset))
+                f = enumeration._invariants(child)
+                assert any(
+                    f[u] < f[m] and _deletable(child, u, c.connected) for u in range(m)
+                ), (parent, subset)
+                skipped += 1
+    assert skipped > 1000
+
+
+def completion(masks, k):
+    """masks plus a last vertex joined to every vertex of degree below k."""
+    return with_vertex(masks, {u for u, x in enumerate(masks) if x.bit_count() < k})
+
+
+@pytest.mark.parametrize("k", [3, 4])
+def test_look_ahead_spares_canonical_calls_exactly(monkeypatch, k):
+    # At order n - 1 of a k-regular target, no child reaches the canonical
+    # labelling if a deletable vertex of its one completion has a smaller h
+    # than the completion's last vertex. Each child so dropped has no child
+    # of its own, so the look-ahead only moves a rejection one level up.
+    n = 10
+    c = DegreeConstraint.regular(k, connected=True)
+    calls = []
+    monkeypatch.setattr(enumeration, "_canon_masks", lambda m: calls.append(m) or _canon_masks(m))
+    assert count(n, c) == (CONNECTED_CUBIC if k == 3 else CONNECTED_QUARTIC)[n]
+    last = [masks for masks in calls if len(masks) == n - 1]
+    assert last
+    for masks in last:
+        full = completion(masks, k)
+        h_last = enumeration._h(full, n - 1)
+        for u in range(n - 1):
+            assert enumeration._h(full, u) >= h_last or not _deletable(full, u, True)
+    # the order n - 1 level the enumerator would keep without the look-ahead
+    parents = dict(regular_levels(k, n, True))[n - 2]
+    monkeypatch.setattr(enumeration, "_completion_ok", lambda masks, k, connected: True)
+    unpruned = enumeration._grow(parents, n - 2, n - 1, n, c)
+    monkeypatch.undo()
+    dropped = [child for child in unpruned if not enumeration._completion_ok(child, k, True)]
+    assert dropped
+    for child in dropped:
+        assert enumeration._children(_canon_masks(child), n - 1, n, c) == []
+
+
+@pytest.mark.parametrize(
+    "n,c,calls",
+    [
+        (12, DegreeConstraint.regular(3, connected=True), 2428),  # 2,910 without the look-ahead
+        (10, DegreeConstraint.max_degree(3, connected=True), 3153),
+    ],
+    ids=["cubic-connected-12", "subcubic-connected-10"],
+)
+def test_canonical_call_counts(monkeypatch, n, c, calls):
+    # Canonical labellings per enumeration, pinned: a rejection that moves
+    # behind the labelling shows here first.
+    made = []
+    monkeypatch.setattr(enumeration, "_canon_masks", lambda m: made.append(1) or _canon_masks(m))
+    enumerate_graphs(n, c)
+    assert len(made) == calls
+
+
 class TestOutputProperties:
     def test_sorted_and_distinct(self):
         out = [to_graph6(g) for g in enumerate_graphs(6, DegreeConstraint.any_degree())]
@@ -220,9 +346,9 @@ class TestOutputProperties:
     @pytest.mark.parametrize(
         "n,c,levels",
         [
-            (8, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 9, 18, 10]),
+            (8, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 9, 18, 6]),
             (6, DegreeConstraint.any_degree(), [1, 2, 4, 11, 34]),
-            (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 117, 63]),
+            (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 117, 24]),
             (9, DegreeConstraint.max_degree(3, connected=True), [1, 1, 2, 6, 10, 29, 64, 194]),
         ],
         ids=["cubic-connected-8", "any-6", "cubic-connected-10", "subcubic-connected-9"],

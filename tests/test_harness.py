@@ -8,10 +8,17 @@ import pytest
 
 import ccmax.harness as harness
 from ccmax import (
+    LEGAL_TYPES,
+    DegreeConstraint,
     TheoremReport,
     canonical_form,
     complete_bipartite,
+    enumerate_graphs,
+    family_b,
+    family_b_order,
     g_kl,
+    named,
+    standard_skeleton,
     theorem2_bound,
     to_graph6,
     verify_caveman_rewire,
@@ -19,6 +26,7 @@ from ccmax import (
     verify_theorem23,
     verify_theorem4,
 )
+from ccmax.structure import BlockKind, _structure
 
 
 class TestTheorem1:
@@ -99,6 +107,37 @@ class TestTheorem23:
         r = verify_theorem23(6)
         assert r.graphs_examined == 0 and r.extremal_graphs == ()
         assert r.max_found == 0 and not r.attained
+
+
+class TestTriangleGate:
+    """verify_theorem23 tests literal-B membership only on graphs with as
+    many triangles as independent cycles."""
+
+    def test_passes_every_graph_of_legal_blocks(self):
+        legal = {BlockKind.K2, BlockKind.K3, BlockKind.DIAMOND}
+        passed = 0
+        for n in range(6, 11):
+            for g in enumerate_graphs(n, DegreeConstraint.max_degree(3, connected=True)):
+                if set(_structure(g).kinds) <= legal:
+                    assert harness._cycles_are_triangles(g), to_graph6(g)
+                    passed += 1
+        assert passed > 100
+
+    def test_passes_family_b(self):
+        # the seven types of B, and two diamonds, at every order up to 20
+        members = 0
+        for t in (*LEGAL_TYPES, (2, 0, 0)):
+            k = 0
+            while family_b_order(t, k) <= 20:
+                assert harness._cycles_are_triangles(family_b(standard_skeleton(t, k))), (t, k)
+                members += 1
+                k += 1
+        assert members == 25
+
+    def test_stops_graphs_with_other_blocks(self):
+        for name in ("cycle(6)", "K4", "path(6)"):
+            g = named(name)
+            assert harness._cycles_are_triangles(g) == (name == "path(6)")
 
 
 class TestTheorem4:
