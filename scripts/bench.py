@@ -12,6 +12,10 @@ machine, the Python version, both commits, every pair's end-to-end metrics
 and, per workload, the medians, the base's interquartile range, how many
 pairs the working tree won, and both sides' per-layer metrics.
 
+A failed or incorrect end-to-end run stops the benchmark at once. A failed
+traced run does not: its side's per-layer entry records the exit status and
+the last output lines, the file is still written, and the script exits 1.
+
 Runs are made one at a time, each in a fresh process that is waited for.
 Nothing under perfbench/ is edited; perfbench writes its inputs and span
 files to its own out/ directory, which git ignores.
@@ -33,6 +37,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
+TAIL_LINES = 20
 
 
 def git(*args: str) -> str:
@@ -53,9 +58,19 @@ def export(rev: str, dest: Path) -> None:
             tar.extractall(dest)
 
 
+class RunFailed(SystemExit):
+    """A perfbench run that failed or found a wrong output. Left uncaught it
+    stops the benchmark; `record` holds its exit status and last lines."""
+
+    def __init__(self, tree: Path, workload: str, proc: subprocess.CompletedProcess):
+        super().__init__(f"perfbench failed in {tree} ({workload}):\n{proc.stdout}\n{proc.stderr}")
+        tail = (proc.stdout.splitlines() + proc.stderr.splitlines())[-TAIL_LINES:]
+        self.record = {"returncode": proc.returncode, "tail": tail}
+
+
 def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
-    """Metrics of one perfbench run in tree, as {name: value}; a run that
-    fails or finds a wrong output stops the benchmark."""
+    """Metrics of one perfbench run in tree, as {name: value}; raises
+    RunFailed when it fails or finds a wrong output."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", str(trace)],
@@ -67,7 +82,7 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) ->
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode != 0 or not result.get("correct"):
-        raise SystemExit(f"perfbench failed in {tree} ({workload}):\n{proc.stdout}\n{proc.stderr}")
+        raise RunFailed(tree, workload, proc)
     return {k: v["value"] for k, v in result["metrics"].items()}
 
 
@@ -138,6 +153,7 @@ def main(argv=None) -> int:
         "seconds": args.seconds,
         "workloads": {},
     }
+    failed = False
     with tempfile.TemporaryDirectory(prefix="ccmax-bench-") as tmp:
         trees = {"base": Path(tmp), "head": ROOT}
         export(args.base, trees["base"])
@@ -152,14 +168,21 @@ def main(argv=None) -> int:
                           f"norm_wall_s {pair[side]['norm_wall_s']:.3f} "
                           f"norm_cpu_s {pair[side]['norm_cpu_s']:.3f}", file=sys.stderr)
                 pairs.append(pair)
-            per_layer = {side: perfbench(trees[side], workload, args.seed, args.seconds, 1) for side in SIDES}
+            per_layer = {}
+            for side in SIDES:
+                try:
+                    per_layer[side] = perfbench(trees[side], workload, args.seed, args.seconds, 1)
+                except RunFailed as err:
+                    print(err.code, file=sys.stderr)
+                    per_layer[side] = {"failed": err.record}
+                    failed = True
             report["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarise(pairs, declared),
                 "per_layer": per_layer,
             }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
-    return 0
+    return 1 if failed else 0
 
 
 if __name__ == "__main__":

@@ -409,23 +409,20 @@ def _start_key(masks: Sequence[int], nbrs: Sequence[Sequence[int]], v: int) -> t
 
 
 def _canonical_perm(
-    masks: Sequence[int], nbrs: Sequence[Sequence[int]], found: list | None = None
-) -> list[int]:
-    """Vertices in canonical order: perm[p] is the vertex placed at p.
-
-    The search collects automorphisms that generate the whole group, each
-    as the list of vertex images: one for each leaf equal to the best leaf,
-    and one transposition for each twin it skips. It prunes start vertices
-    with them, and appends them to found when given a list.
+    masks: Sequence[int], nbrs: Sequence[Sequence[int]]
+) -> tuple[list[int], list[list[int]]]:
+    """Vertices in canonical order (perm[p] is the vertex placed at p), and
+    automorphisms that generate the whole group, each as the list of vertex
+    images: one for each leaf equal to the best leaf, and one transposition
+    for each twin the search skips. It prunes start vertices with them.
     """
     n = len(masks)
     classes = _refine_classes(nbrs)
     if len(classes) == n:
-        return [v for (v,) in classes]
+        return [v for (v,) in classes], []
     if len(classes) == 1:
         classes[0].sort(key=lambda v: _start_key(masks, nbrs, v), reverse=True)
-    if found is None:
-        found = []
+    found: list[list[int]] = []
     pos_class: list[int] = []
     for ci, cls in enumerate(classes):
         pos_class.extend([ci] * len(cls))
@@ -504,16 +501,14 @@ def _canonical_perm(
         return updated
 
     dfs(0, False)
-    return best_perm
+    return best_perm, found
 
 
-def _canonical_masks(
-    masks: Sequence[int], found: list | None = None
-) -> tuple[tuple[int, ...], list[int]]:
-    """Adjacency masks of the canonically labelled copy, and pos: pos[v] is
-    the canonical position of vertex v."""
+def _canonical_masks(masks: Sequence[int]) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
+    """Adjacency masks of the canonically labelled copy, pos (pos[v] is the
+    canonical position of vertex v), and the search's automorphisms."""
     nbrs = _neighbor_lists(masks)
-    perm = _canonical_perm(masks, nbrs, found)
+    perm, found = _canonical_perm(masks, nbrs)
     pos = [0] * len(perm)
     for p, v in enumerate(perm):
         pos[v] = p
@@ -523,7 +518,7 @@ def _canonical_masks(
         for w in nbrs[v]:
             mv |= 1 << pos[w]
         out.append(mv)
-    return tuple(out), pos
+    return tuple(out), pos, found
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -548,18 +543,14 @@ class _Canon(tuple):
 def _canon_masks(masks: Sequence[int]) -> _Canon:
     # The enumerator's entry point: masks in and out, no Graph and no
     # capability check (enumeration caps are far below CANONICAL_MAX_N).
-    # Kept apart from canonical_graph, which records no automorphisms, so
-    # that the two count as separate calls when perfbench traces them.
-    found: list[list[int]] = []
-    out, pos = _canonical_masks(masks, found)
+    # Kept apart from canonical_graph, whose search collects automorphisms
+    # only to prune start vertices and reports none, so that the two count
+    # as separate calls when perfbench traces them.
+    out, pos, found = _canonical_masks(masks)
     canon = _Canon(out)
-    # an automorphism a of the input moves position pos[v] to pos[a[v]]
-    gens = {}
-    for a in found:
-        image = [0] * len(pos)
-        for v, p in enumerate(pos):
-            image[p] = pos[a[v]]
-        gens[tuple(image)] = None
-    canon.gens = tuple(gens)
+    # an automorphism a of the input moves position p, held by vertex
+    # perm[p], to pos[a[perm[p]]]
+    perm = sorted(range(len(pos)), key=pos.__getitem__) if found else []
+    canon.gens = tuple(dict.fromkeys([tuple([pos[a[v]] for v in perm]) for a in found]))
     canon.pos = pos
     return canon

@@ -94,20 +94,20 @@ def _scan(pairs, bound: Fraction):
     bound, and the number of pairs. A key starts with the index of the graph
     it names in an enumeration, which lists graphs in canonical graph6 order,
     so keys sort as the graph6 strings would."""
-    max_found = None
+    best = None
     argmax: list = []
     equality: list = []
     count = 0
     for value, key in pairs:
         count += 1
-        if max_found is None or value > max_found:
-            max_found, argmax = value, [key]
-        elif value == max_found:
+        if best is None or value > best:
+            best, argmax = value, [key]
+        elif value == best:
             argmax.append(key)
         if value == bound:
             equality.append(key)
-    max_found = Fraction(0) if max_found is None else max_found
-    return max_found, sorted(argmax), sorted(equality), count
+    best = Fraction(0) if best is None else best
+    return best, sorted(argmax), sorted(equality), count
 
 
 def _report(

@@ -86,6 +86,10 @@ def blocks(g: Graph) -> BlockDecomposition:
 _KINDS = {(2, 1): BlockKind.K2, (3, 3): BlockKind.K3, (4, 5): BlockKind.DIAMOND}
 
 
+def _kind(g: Graph, block: tuple[int, ...]) -> BlockKind:
+    return _KINDS.get((len(block), edges_within(g, block)), BlockKind.OTHER)
+
+
 def classify_block(g: Graph, block) -> BlockKind:
     """K2/K3/diamond classification of one block of g."""
     return classify_block_in(g, blocks(g), block)
@@ -96,7 +100,7 @@ def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
     verts = tuple(sorted(block))
     if verts not in dec.blocks:
         raise ValueError(f"{verts} is not a block of the graph")
-    return _KINDS.get((len(verts), edges_within(g, verts)), BlockKind.OTHER)
+    return _kind(g, verts)
 
 
 @dataclass(frozen=True)
@@ -148,7 +152,7 @@ class _Structure(NamedTuple):
 
 def _structure(g: Graph) -> _Structure:
     dec = blocks(g)
-    kinds = tuple([_KINDS.get((len(b), edges_within(g, b)), BlockKind.OTHER) for b in dec.blocks])
+    kinds = tuple([_kind(g, b) for b in dec.blocks])
     diamonds = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.DIAMOND]
     triangles = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.K3]
     deg3 = [sum(g.degree(v) == 3 for v in b) for b in triangles]

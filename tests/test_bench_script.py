@@ -1,6 +1,8 @@
-"""The summary statistics of scripts/bench.py."""
+"""The summary statistics and the failure handling of scripts/bench.py."""
 
 import importlib.util
+import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -64,3 +66,52 @@ def test_a_single_pair(bench):
         "pairs": 1,
     }
     assert out["rate"]["head_wins"] == 0
+
+
+def fake_runs(bench, monkeypatch, fails):
+    """Replace git, the export and perfbench itself; `fails(side, trace)`
+    says which runs fail. Returns the list of runs made."""
+    declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    runs = []
+
+    def perfbench(tree, workload, seed, seconds, trace):
+        side = "head" if tree == bench.ROOT else "base"
+        runs.append((workload, side, trace))
+        if fails(side, trace):
+            proc = subprocess.CompletedProcess(
+                [], 3, stdout="line 1\n", stderr="Traceback\nTraceError: x\n"
+            )
+            raise bench.RunFailed(tree, workload, proc)
+        return {m["name"]: 1.0 for m in declared}
+
+    monkeypatch.setattr(bench, "perfbench", perfbench)
+    monkeypatch.setattr(bench, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "git", lambda *args: "abc")
+    return runs
+
+
+def test_a_failed_traced_run_keeps_the_pairs(bench, monkeypatch, tmp_path):
+    runs = fake_runs(bench, monkeypatch, lambda side, trace: side == "head" and trace == 1)
+    out = tmp_path / "bench.json"
+    argv = ["--base", "x", "--workload", "w1", "--workload", "w2", "--pairs", "2"]
+    argv += ["--out", str(out)]
+    assert bench.main(argv) == 1
+    report = json.loads(out.read_text())
+    for workload in ("w1", "w2"):
+        entry = report["workloads"][workload]
+        assert len(entry["pairs"]) == 2
+        assert entry["per_layer"]["base"]["norm_wall_s"] == 1.0
+        assert entry["per_layer"]["head"] == {
+            "failed": {"returncode": 3, "tail": ["line 1", "Traceback", "TraceError: x"]}
+        }
+    # the failure stopped nothing: every run was made
+    assert len(runs) == 2 * (2 * 2 + 2)
+
+
+def test_a_failed_end_to_end_run_stops_the_comparison(bench, monkeypatch, tmp_path):
+    runs = fake_runs(bench, monkeypatch, lambda side, trace: side == "base" and trace == 0)
+    out = tmp_path / "bench.json"
+    with pytest.raises(SystemExit):
+        bench.main(["--base", "x", "--workload", "w1", "--out", str(out)])
+    assert not out.exists()
+    assert runs == [("w1", "base", 0)]
