@@ -23,11 +23,12 @@ vertex under the child's automorphism group:
 
 Every class is thereby produced exactly once, from one parent class and one
 neighbour set, so a level is the concatenation of the parents' children and
-needs no deduplication. Regular targets add only neighbour sets that hold
-every vertex too short of edges to wait for a later one, and prune prefixes
-that cannot complete to a k-regular graph; every induced subgraph of a
-k-regular graph passes that test, so no target graph loses its chain of
-canonical parents.
+needs no deduplication. A level is a list of (masks, generators) pairs of
+plain tuples; the order-n level, which has no children, keeps no generators.
+Regular targets add only neighbour sets that hold every vertex too short of
+edges to wait for a later one, and prune prefixes that cannot complete to a
+k-regular graph; every induced subgraph of a k-regular graph passes that
+test, so no target graph loses its chain of canonical parents.
 
 Three rejections come before the expensive step. Each drops only children
 that a later test drops anyway, so the classes and their order do not
@@ -68,6 +69,7 @@ from .graphs import (
     Graph,
     _canon_masks,
     _edges_in,
+    _image,
     _is_int,
     _need_int,
     _orbit,
@@ -157,27 +159,26 @@ def _spare_ok(total: int, rem: int, k: int) -> bool:
     return spare >= 0 and spare % 2 == 0 and spare <= rem * (rem - 1)
 
 
-def _regular_sizes(parent: Sequence[int], n: int, k: int, sizes: range) -> list[int]:
-    # The sizes in `sizes` for which a child of the order-m prefix `parent`
-    # passes _regular_prefix_ok when its new vertex's neighbour set holds
+def _regular_sizes(degs: Sequence[int], n: int, k: int, sizes: range) -> list[int]:
+    # The sizes in `sizes` for which a child of the order-m prefix of degrees
+    # degs passes _regular_prefix_ok when its new vertex's neighbour set holds
     # every forced vertex. The parent passed the test, so a vertex lacks at
     # most rem + 1 edges, and exactly that many if forced: with the forced
     # vertices in, every old vertex meets its bound. What is left depends on
     # the size alone: the new vertex lacks k - size edges, and the total
     # deficiency changes by k - 2 * size.
-    rem = n - len(parent) - 1
-    total = sum(k - x.bit_count() for x in parent)
+    rem = n - len(degs) - 1
+    total = sum(k - d for d in degs)
     return [s for s in sizes if k - s <= rem and _spare_ok(total + k - 2 * s, rem, k)]
 
 
 _F_SHIFT = 16
 
 
-def _invariants(masks: Sequence[int]) -> list[int]:
+def _invariants(masks: Sequence[int], degs: Sequence[int]) -> list[int]:
     # f(v) = (degree, sum of neighbour degrees), packed so that integer
     # order is tuple order (a sum of at most 19 degrees of at most 19 fits
     # below the shift). An inline bit walk, not _bits: this is in the hot path.
-    degs = [x.bit_count() for x in masks]
     out = []
     for x, d in zip(masks, degs):
         s = 0
@@ -209,14 +210,13 @@ def _h(masks: Sequence[int], v: int) -> int:
     return ball.bit_count() << _F_SHIFT | _edges_in(masks, nbrs)
 
 
-def _least_deletable(parent: Sequence[int], connected: bool) -> tuple[int, int]:
+def _least_deletable(parent: Sequence[int], degs: Sequence[int], connected: bool) -> tuple[int, int]:
     # d0, the least degree of a deletable vertex, and the mask of the
     # deletable vertices of degree d0; a graph of order >= 1 has a deletable
     # vertex (a leaf of a spanning tree), so the loop returns
-    degrees = [x.bit_count() for x in parent]
-    for d in sorted(set(degrees)):
+    for d in sorted(set(degs)):
         low = 0
-        for u, du in enumerate(degrees):
+        for u, du in enumerate(degs):
             if du == d and _deletable(parent, u, connected):
                 low |= 1 << u
         if low:
@@ -242,49 +242,40 @@ def _completion_ok(masks: Sequence[int], k: int, connected: bool) -> bool:
     )
 
 
-def _image(perm: Sequence[int], mask: int) -> int:
-    # the vertex set mask moved by the permutation perm
-    out = 0
-    while mask:
-        low = mask & -mask
-        out |= 1 << perm[low.bit_length() - 1]
-        mask ^= low
-    return out
-
-
 def _children(
-    parent: tuple[int, ...], m: int, n: int, c: DegreeConstraint
-) -> list[tuple[int, ...]]:
-    # Canonical masks of the admissible children of an order-m canonical
-    # parent that pass the orbit test, one per class (module docstring).
+    parent: tuple[int, ...], gens: tuple, m: int, n: int, c: DegreeConstraint
+) -> list[tuple[tuple[int, ...], tuple]]:
+    # (canonical masks, generators) of the admissible children of an order-m
+    # canonical parent with generators gens that pass the orbit test, one
+    # per class (module docstring); children of order n keep no generators.
     # No vertex of an order-m parent has degree m, so m caps the any mode.
     cap = m if c.bound is None else c.bound
-    eligible = [u for u in range(m) if parent[u].bit_count() < cap]
+    degs = [x.bit_count() for x in parent]
+    eligible = [u for u in range(m) if degs[u] < cap]
     max_size = min(cap, len(eligible))
     connected = c.connected
     regular = c.mode == MODE_REGULAR
     newm = m + 1
-    base = _invariants(parent)
+    base = _invariants(parent, degs)
     # A regular target's vertex that lacks more edges than the n - m - 1
     # vertices after m can give must take one from m: the regular prefix
     # test would reject every subset without it.
     forced = 0
     if regular:
         for u in eligible:
-            if cap - parent[u].bit_count() > n - newm:
+            if cap - degs[u] > n - newm:
                 forced |= 1 << u
     # A deletable vertex u of the parent stays deletable in a child unless
     # the new vertex's only neighbour is u, and gains at most one edge; so a
     # new vertex of degree above u's + 1 never has minimal f, and one of
     # degree d0 + 1 must take every deletable vertex of degree d0.
-    d0, low = _least_deletable(parent, connected)
+    d0, low = _least_deletable(parent, degs, connected)
     max_size = min(max_size, d0 + 1)
     sizes = range(max(1 if connected else 0, forced.bit_count()), max_size + 1)
     if regular:
-        sizes = _regular_sizes(parent, n, cap, sizes)
+        sizes = _regular_sizes(degs, n, cap, sizes)
     # Neighbour sets in one orbit of Aut(parent) give isomorphic children,
     # so only the first of each orbit is tried.
-    gens = getattr(parent, "gens", ())
     seen: set[int] = set()
     new = 1 << m
     out = []
@@ -296,14 +287,14 @@ def _children(
         if must.bit_count() > size:
             continue
         pool = [u for u in eligible if not must >> u & 1]
-        must_f = sum((base[u] >> _F_SHIFT) + 1 for u in eligible if must >> u & 1)
+        must_f = sum(degs[u] + 1 for u in eligible if must >> u & 1)
         bump = (1 << _F_SHIFT) + size
         for subset in combinations(pool, size - must.bit_count()):
             smask = must
             fm = (size << _F_SHIFT) + must_f
             for u in subset:
                 smask |= 1 << u
-                fm += (base[u] >> _F_SHIFT) + 1
+                fm += degs[u] + 1
             if gens:
                 if smask in seen:
                     continue
@@ -340,19 +331,16 @@ def _children(
             top = max((pos[u] for u in ties), default=-1)
             if top > pos[m] and top not in _orbit(canon.gens, pos[m], getitem):
                 continue
-            if newm < n and canon.gens:
-                del canon.pos  # the next level reads only the generators
-                out.append(canon)
-            else:
-                out.append(tuple(canon))
+            out.append((tuple(canon), canon.gens if newm < n else ()))
     return out
 
 
-def _grow(parents: list, m: int, stop: int, n: int, c: DegreeConstraint) -> list:
-    # order-m parents to their order-stop descendants, a level at a time
+def _grow(level: list, m: int, stop: int, n: int, c: DegreeConstraint) -> list:
+    # order-m (masks, generators) parents to their order-stop descendants,
+    # a level at a time
     for m in range(m, stop):
-        parents = [child for parent in parents for child in _children(parent, m, n, c)]
-    return parents
+        level = [child for masks, gens in level for child in _children(masks, gens, m, n, c)]
+    return level
 
 
 # A level is shared out once it has this many parents per worker: fewer
@@ -375,7 +363,7 @@ def enumerate_graphs(
             f"enumeration for {c.mode} is supported up to n = {limit}, got {n}"
         )
     start = c.mode != MODE_REGULAR or _regular_prefix_ok((0,), 1, n, c.bound)
-    level = [(0,)] if start else []
+    level = [((0,), ())] if start else []
     m = 1
     while m < n and (workers == 1 or len(level) < _SPLIT * workers):
         level = _grow(level, m, m + 1, n, c)
@@ -386,11 +374,11 @@ def enumerate_graphs(
         with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             shares = [level[i::workers] for i in range(workers)]
             grown = pool.map(_grow, shares, repeat(m), repeat(n), repeat(n), repeat(c))
-            level = [masks for share in grown for masks in share]
+            level = [pair for share in grown for pair in share]
     # Construction meets c: children of connected targets get an edge, only
     # vertices below the bound gain one, and at order n the regular prefix
     # test leaves every degree at the bound.
-    return sorted((Graph(n, masks) for masks in level), key=to_graph6)
+    return sorted((Graph(n, masks) for masks, _ in level), key=to_graph6)
 
 
 def count(n: int, c: DegreeConstraint, workers: int = 1) -> int:

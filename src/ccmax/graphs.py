@@ -388,6 +388,16 @@ def _orbit(gens: Sequence[Sequence[int]], x, move) -> set:
     return seen
 
 
+def _image(perm: Sequence[int], mask: int) -> int:
+    # the vertex set mask moved by the permutation perm
+    out = 0
+    while mask:
+        low = mask & -mask
+        out |= 1 << perm[low.bit_length() - 1]
+        mask ^= low
+    return out
+
+
 def _start_key(masks: Sequence[int], nbrs: Sequence[Sequence[int]], v: int) -> tuple[int, int]:
     # (triangles at v, sum of c(c-1) over the other vertices w, c being the
     # number of common neighbours of v and w): vertices rich in short cycles
@@ -512,13 +522,7 @@ def _canonical_masks(masks: Sequence[int]) -> tuple[tuple[int, ...], list[int], 
     pos = [0] * len(perm)
     for p, v in enumerate(perm):
         pos[v] = p
-    out = []
-    for v in perm:
-        mv = 0
-        for w in nbrs[v]:
-            mv |= 1 << pos[w]
-        out.append(mv)
-    return tuple(out), pos, found
+    return tuple([_image(pos, masks[v]) for v in perm]), pos, found
 
 
 def canonical_graph(g: Graph) -> Graph:

@@ -28,7 +28,7 @@ from .generators import caveman, caveman_rewired, complete_bipartite, g_kl
 from .graphs import (
     Graph, _edges_in, _is_int, _need_int, _non_edges, canonical_form, canonical_graph, to_graph6
 )
-from .structure import claim_checks, is_in_b, is_in_b_literal
+from .structure import claim_checks, is_in_b, is_in_b_literal, s_set
 
 
 @dataclass(frozen=True)
@@ -191,12 +191,15 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     """
     _need_int("n", n, 6)
     graphs = enumerate_graphs(n, DegreeConstraint.max_degree(3, connected=True), workers)
-    # B is contained in literal B, so is_in_b runs on the literal members
-    # only; the triangle gate spares most graphs their block decomposition
-    literal = [
-        (to_graph6(g), g) for g in graphs if _cycles_are_triangles(g) and is_in_b_literal(g)
-    ]
-    b_members = sorted(s for s, g in literal if is_in_b(g))
+    # B is literal B with S empty, so a graph past the triangle gate is
+    # decomposed once: by is_in_b if S is empty, else by is_in_b_literal
+    literal = []  # (graph6, in B) of the literal-B members
+    for g in graphs:
+        if _cycles_are_triangles(g):
+            s_empty = not s_set(g)
+            if is_in_b(g) if s_empty else is_in_b_literal(g):
+                literal.append((to_graph6(g), s_empty))
+    b_members = sorted(s for s, in_b in literal if in_b)
     details = {
         "b_members": b_members,
         "b_members_literal_type_reading": sorted(s for s, _ in literal),

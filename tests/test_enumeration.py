@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from ccmax import (
     CapabilityError,
     DegreeConstraint,
+    Graph,
     blocks,
     canonical_form,
     count,
@@ -37,7 +38,8 @@ SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
 def fake_pool(monkeypatch):
     """Replace the process pool by an in-process executor on a 2-CPU
     machine, so no process starts. Returns two lists it appends to: the
-    max_workers of each construction, and the share sizes of each map."""
+    max_workers of each construction, and the share sizes of each map.
+    Every share must hold plain (masks, generators) tuple pairs."""
     started, dealt = [], []
 
     class FakeExecutor:
@@ -52,12 +54,28 @@ def fake_pool(monkeypatch):
 
         def map(self, fn, shares, *rest):
             shares = list(shares)
+            for share in shares:
+                assert all(plain_pair(entry) for entry in share)
             dealt.append([len(share) for share in shares])
             return map(fn, shares, *rest)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
     monkeypatch.setattr(os, "cpu_count", lambda: 2)
     return started, dealt
+
+
+def plain_pair(entry):
+    """Whether entry is a level entry of plain tuples: (masks, generators),
+    each generator a tuple of ints, and no _Canon anywhere."""
+    if type(entry) is not tuple or len(entry) != 2:
+        return False
+    masks, gens = entry
+    return (
+        type(masks) is tuple
+        and type(gens) is tuple
+        and all(type(x) is int for x in masks)
+        and all(type(g) is tuple and len(g) == len(masks) for g in gens)
+    )
 
 
 @pytest.fixture(scope="module")
@@ -169,17 +187,22 @@ def test_rejected_tie_costs_no_second_canon_call(monkeypatch):
     want = sorted(g._masks for g in enumerate_graphs(7, c))
     calls = []
     monkeypatch.setattr(enumeration, "_canon_masks", lambda m: calls.append(m) or _canon_masks(m))
-    kept = [child for parent in parents for child in enumeration._children(parent, 6, 7, c)]
-    assert sorted(kept) == want and len(kept) == ALL_GRAPHS[7]
+    kept = [
+        child for p in parents for child in enumeration._children(tuple(p), p.gens, 6, 7, c)
+    ]
+    assert sorted(masks for masks, _ in kept) == want and len(kept) == ALL_GRAPHS[7]
+    # a child of order n has no children, so it carries no generators
+    assert all(gens == () for _, gens in kept)
     assert all(len(masks) == 7 for masks in calls)
     assert len(calls) > len(kept)
 
 
 def regular_levels(k, n, connected):
-    """(m, the order-m canonical prefixes) for m = 1..n-1 of the k-regular
-    order-n target, as the enumerator grows them."""
+    """(m, the order-m canonical prefixes as (masks, generators) pairs) for
+    m = 1..n-1 of the k-regular order-n target, as the enumerator grows
+    them."""
     c = DegreeConstraint.regular(k, connected)
-    level = [(0,)] if enumeration._regular_prefix_ok((0,), 1, n, k) else []
+    level = [((0,), ())] if enumeration._regular_prefix_ok((0,), 1, n, k) else []
     for m in range(1, n):
         yield m, level
         level = enumeration._grow(level, m, m + 1, n, c)
@@ -202,10 +225,11 @@ def test_regular_sizes_equal_prefix_test(k, connected):
     outcomes = []
     for n in range(k + 1, 11):
         for m, parents in regular_levels(k, n, connected):
-            for parent in parents:
-                forced = [u for u in range(m) if k - parent[u].bit_count() > n - m - 1]
-                free = [u for u in range(m) if u not in forced and parent[u].bit_count() < k]
-                sizes = enumeration._regular_sizes(parent, n, k, range(k + 1))
+            for parent, _ in parents:
+                degs = [x.bit_count() for x in parent]
+                forced = [u for u in range(m) if k - degs[u] > n - m - 1]
+                free = [u for u in range(m) if u not in forced and degs[u] < k]
+                sizes = enumeration._regular_sizes(degs, n, k, range(k + 1))
                 for size in range(len(forced), min(k, len(forced) + len(free)) + 1):
                     for rest in combinations(free, size - len(forced)):
                         child = with_vertex(parent, {*forced, *rest})
@@ -233,7 +257,7 @@ def test_least_degree_forcing_skips_only_rejected_sets(c, top):
             deletable = [u for u in range(m) if _deletable(parent, u, c.connected)]
             d0 = min(degrees[u] for u in deletable)
             low = {u for u in deletable if degrees[u] == d0}
-            assert enumeration._least_deletable(parent, c.connected) == (
+            assert enumeration._least_deletable(parent, degrees, c.connected) == (
                 d0, sum(1 << u for u in low)
             )
             cap = m if c.bound is None else c.bound
@@ -242,7 +266,7 @@ def test_least_degree_forcing_skips_only_rejected_sets(c, top):
                 if low <= set(subset):
                     continue
                 child = with_vertex(parent, set(subset))
-                f = enumeration._invariants(child)
+                f = enumeration._invariants(child, [x.bit_count() for x in child])
                 assert any(
                     f[u] < f[m] and _deletable(child, u, c.connected) for u in range(m)
                 ), (parent, subset)
@@ -278,10 +302,36 @@ def test_look_ahead_spares_canonical_calls_exactly(monkeypatch, k):
     monkeypatch.setattr(enumeration, "_completion_ok", lambda masks, k, connected: True)
     unpruned = enumeration._grow(parents, n - 2, n - 1, n, c)
     monkeypatch.undo()
-    dropped = [child for child in unpruned if not enumeration._completion_ok(child, k, True)]
+    dropped = [pair for pair in unpruned if not enumeration._completion_ok(pair[0], k, True)]
     assert dropped
-    for child in dropped:
-        assert enumeration._children(_canon_masks(child), n - 1, n, c) == []
+    for child, gens in dropped:
+        assert enumeration._children(child, gens, n - 1, n, c) == []
+
+
+@pytest.mark.parametrize(
+    "n,c",
+    [
+        (8, DegreeConstraint.regular(3, connected=True)),
+        (6, DegreeConstraint.any_degree()),
+        (7, DegreeConstraint.max_degree(3, connected=True)),
+    ],
+    ids=["cubic-connected-8", "any-6", "subcubic-connected-7"],
+)
+def test_levels_are_plain_pairs(n, c):
+    # Every level, from the seed up, is a list of (masks, generators) pairs
+    # of plain tuples; only a level below order n carries generators, and a
+    # parent with a nontrivial group has some.
+    level = [((0,), ())]
+    for m in range(1, n):
+        level = enumeration._grow(level, m, m + 1, n, c)
+        assert level and all(plain_pair(entry) for entry in level), m
+        assert all(len(masks) == m + 1 for masks, _ in level)
+        if m + 1 == n:
+            assert all(gens == () for _, gens in level)
+        else:
+            assert any(gens for _, gens in level)
+    got = sorted((Graph(n, masks) for masks, _ in level), key=to_graph6)
+    assert got == enumerate_graphs(n, c)
 
 
 @pytest.mark.parametrize(

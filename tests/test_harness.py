@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 import ccmax.harness as harness
+import ccmax.structure as structure
 from ccmax import (
     LEGAL_TYPES,
     DegreeConstraint,
@@ -138,6 +139,18 @@ class TestTriangleGate:
         for name in ("cycle(6)", "K4", "path(6)"):
             g = named(name)
             assert harness._cycles_are_triangles(g) == (name == "path(6)")
+
+    def test_one_decomposition_per_gated_graph(self, monkeypatch):
+        # B is literal B with S empty, so a graph past the gate is decomposed
+        # once, by is_in_b or by is_in_b_literal, and each maximizer once
+        # more by claim_checks: 343 blocks calls over n = 6..10, where
+        # testing both predicates on each literal member made 624.
+        calls = []
+        blocks = structure.blocks
+        monkeypatch.setattr(structure, "blocks", lambda g: calls.append(g) or blocks(g))
+        for n in range(6, 11):
+            verify_theorem23(n)
+        assert len(calls) == 343
 
 
 class TestTheorem4:
