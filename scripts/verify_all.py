@@ -10,9 +10,10 @@ and every report matches its golden. Standard error gets one
 one run to the next but for its total line.
 
 On a 2-core machine with Python 3.11 the 30 cells, checks included, took
-10.9-12.5 s at 1 worker and 8.0-9.7 s at 2 (3 runs each; the host's speed
-swings by up to 2x). T23 n=12 is over half of it (5.8-7.1 s at 1 worker,
-mostly enumeration); T4 n=8 takes 1.3-1.9 s, enumeration included.
+10.3-13.1 s at 1 worker and 7.9-9.3 s at 2 (3 runs each; the host's speed
+swings by up to 2x). T23 n=12 is over half of it (6.0-7.2 s at 1 worker,
+mostly enumeration); T4 n=8 takes 1.3-2.2 s, enumeration included, and
+T1 k=3 n=12 0.3-0.4 s.
 --workers splits each large enumeration once across processes.
 """
 

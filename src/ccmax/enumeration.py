@@ -30,7 +30,7 @@ edges to wait for a later one, and prune prefixes that cannot complete to a
 k-regular graph; every induced subgraph of a k-regular graph passes that
 test, so no target graph loses its chain of canonical parents.
 
-Three rejections come before the expensive step. Each drops only children
+Four rejections come before the expensive step. Each drops only children
 that a later test drops anyway, so the classes and their order do not
 change:
 
@@ -46,7 +46,18 @@ change:
   completion: the last vertex joins every vertex still short of an edge.
   All vertices of the completion share one f, so the next level drops it
   when a deletable vertex has a smaller h than the last vertex. Such a
-  child has no descendant and is dropped before its canonical labelling.
+  child has no descendant and is dropped before its canonical labelling;
+- for a regular target of order n, a child of order n - 2 is dropped
+  before its canonical labelling when none of its own children passes the
+  tests that come before a labelling (the forced vertices, the size test,
+  the f and h tests and the completion test above). Each of those tests
+  reads only the graph, not its vertex numbering, so it gives the same
+  answer on the unlabelled child as on its canonical form, and no
+  generators are needed: without them every neighbour set is tried, and
+  the probe stops at the first that passes. A child that fails has no
+  order-(n - 1) child that reaches a labelling, so no descendant. One
+  generator, _candidates, runs these tests both for the children that get
+  labelled and for the probe, so the two never test different things.
 
 Work is split at most once, as in nauty's geng
 (res/mod): levels grow serially until one has enough parents, and each
@@ -62,13 +73,12 @@ import os
 from dataclasses import dataclass
 from itertools import combinations, repeat
 from operator import getitem
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .graphs import (
     CapabilityError,
     Graph,
     _canon_masks,
-    _edges_in,
     _image,
     _is_int,
     _need_int,
@@ -199,15 +209,19 @@ def _deletable(masks: Sequence[int], v: int, connected: bool) -> bool:
 
 
 def _h(masks: Sequence[int], v: int) -> int:
-    # h(v) = (size of the distance-2 ball, triangles at v), packed as f is
+    # h(v) = (size of the distance-2 ball, triangles at v), packed as f is;
+    # the walk sees each edge among the neighbours from both ends
     nbrs = masks[v]
     ball = nbrs | 1 << v
+    tri = 0
     rest = nbrs
     while rest:
         low = rest & -rest
-        ball |= masks[low.bit_length() - 1]
+        x = masks[low.bit_length() - 1]
+        ball |= x
+        tri += (x & nbrs).bit_count()
         rest ^= low
-    return ball.bit_count() << _F_SHIFT | _edges_in(masks, nbrs)
+    return ball.bit_count() << _F_SHIFT | tri >> 1
 
 
 def _least_deletable(parent: Sequence[int], degs: Sequence[int], connected: bool) -> tuple[int, int]:
@@ -242,21 +256,21 @@ def _completion_ok(masks: Sequence[int], k: int, connected: bool) -> bool:
     )
 
 
-def _children(
-    parent: tuple[int, ...], gens: tuple, m: int, n: int, c: DegreeConstraint
-) -> list[tuple[tuple[int, ...], tuple]]:
-    # (canonical masks, generators) of the admissible children of an order-m
-    # canonical parent with generators gens that pass the orbit test, one
-    # per class (module docstring); children of order n keep no generators.
-    # No vertex of an order-m parent has degree m, so m caps the any mode.
+def _candidates(
+    parent: Sequence[int], gens: tuple, m: int, n: int, c: DegreeConstraint
+) -> Iterator[tuple[list[int], list[int]]]:
+    # (masks, ties) of each child of an order-m parent that passes every
+    # test before the canonical labelling (module docstring): the child's
+    # masks, with the new vertex m last, and the deletable vertices tied
+    # with m on (f, h). With generators, only the first neighbour set of
+    # each orbit of Aut(parent) is tried; without, every one is. No vertex
+    # of an order-m parent has degree m, so m caps the any mode.
     cap = m if c.bound is None else c.bound
     degs = [x.bit_count() for x in parent]
     eligible = [u for u in range(m) if degs[u] < cap]
-    max_size = min(cap, len(eligible))
     connected = c.connected
     regular = c.mode == MODE_REGULAR
     newm = m + 1
-    base = _invariants(parent, degs)
     # A regular target's vertex that lacks more edges than the n - m - 1
     # vertices after m can give must take one from m: the regular prefix
     # test would reject every subset without it.
@@ -270,15 +284,18 @@ def _children(
     # new vertex of degree above u's + 1 never has minimal f, and one of
     # degree d0 + 1 must take every deletable vertex of degree d0.
     d0, low = _least_deletable(parent, degs, connected)
-    max_size = min(max_size, d0 + 1)
+    max_size = min(cap, len(eligible), d0 + 1)
     sizes = range(max(1 if connected else 0, forced.bit_count()), max_size + 1)
     if regular:
         sizes = _regular_sizes(degs, n, cap, sizes)
+    if not sizes:
+        # no child; many probed children end here, before f is computed
+        return
+    base = _invariants(parent, degs)
     # Neighbour sets in one orbit of Aut(parent) give isomorphic children,
     # so only the first of each orbit is tried.
     seen: set[int] = set()
     new = 1 << m
-    out = []
     # f in the child, from the parent's: every neighbour of u in the subset
     # gains one degree, and a vertex u in the subset gains one degree and
     # the new vertex (of degree size) as a neighbour.
@@ -324,14 +341,37 @@ def _children(
                 ties = [u for u, h in zip(ties, hs) if h == hm]
             if regular and newm == n - 1 and not _completion_ok(masks, cap, connected):
                 continue
-            canon = _canon_masks(masks)
-            # The canonical deletion vertex is the highest canonical position
-            # among m and its ties; the child is kept iff m lies in its orbit.
-            pos = canon.pos
-            top = max((pos[u] for u in ties), default=-1)
-            if top > pos[m] and top not in _orbit(canon.gens, pos[m], getitem):
-                continue
-            out.append((tuple(canon), canon.gens if newm < n else ()))
+            yield masks, ties
+
+
+def _has_child(masks: Sequence[int], n: int, c: DegreeConstraint) -> bool:
+    # whether some child of masks passes every test before the labelling;
+    # each test is invariant under relabelling, so masks need not be
+    # canonical and no generators are needed (module docstring)
+    return any(_candidates(masks, (), len(masks), n, c))
+
+
+def _children(
+    parent: tuple[int, ...], gens: tuple, m: int, n: int, c: DegreeConstraint
+) -> list[tuple[tuple[int, ...], tuple]]:
+    # (canonical masks, generators) of the admissible children of an order-m
+    # canonical parent with generators gens that pass the orbit test, one
+    # per class (module docstring); children of order n keep no generators.
+    newm = m + 1
+    # a regular target's order-(n - 2) child must have a child of its own
+    probe = c.mode == MODE_REGULAR and newm == n - 2
+    out = []
+    for masks, ties in _candidates(parent, gens, m, n, c):
+        if probe and not _has_child(masks, n, c):
+            continue
+        canon = _canon_masks(masks)
+        # The canonical deletion vertex is the highest canonical position
+        # among m and its ties; the child is kept iff m lies in its orbit.
+        pos = canon.pos
+        top = max((pos[u] for u in ties), default=-1)
+        if top > pos[m] and top not in _orbit(canon.gens, pos[m], getitem):
+            continue
+        out.append((tuple(canon), canon.gens if newm < n else ()))
     return out
 
 
@@ -345,8 +385,8 @@ def _grow(level: list, m: int, stop: int, n: int, c: DegreeConstraint) -> list:
 
 # A level is shared out once it has this many parents per worker: fewer
 # give unevenly loaded shares, more keep more of the work serial. From 4 to
-# 64 the sweep's 14 enumerations at 2 workers on a 2-core host took 1.99 to
-# 2.11 s (medians of 5), within the host's noise; 16 sits in the middle.
+# 64 the sweep's 14 enumerations at 2 workers on a 2-core host took 1.04 to
+# 1.15 s (medians of 5), within the host's noise; 16 sits in the middle.
 _SPLIT = 16
 
 

@@ -308,6 +308,50 @@ def test_look_ahead_spares_canonical_calls_exactly(monkeypatch, k):
         assert enumeration._children(child, gens, n - 1, n, c) == []
 
 
+def grown(n, c):
+    """The masks of the order-n level as the enumerator grows it serially,
+    before the sort."""
+    level = [((0,), ())] if enumeration._regular_prefix_ok((0,), 1, n, c.bound) else []
+    return [masks for masks, _ in enumeration._grow(level, 1, n, n, c)]
+
+
+@pytest.mark.parametrize(
+    "k,n,unpruned,kept",
+    [(3, 10, 117, 28), (3, 12, 941, 157), (4, 10, 481, 91)],
+    ids=["cubic-connected-10", "cubic-connected-12", "quartic-connected-10"],
+)
+def test_two_level_look_ahead_drops_only_dead_prefixes(monkeypatch, k, n, unpruned, kept):
+    # At order n - 2 of a k-regular target, a child none of whose own
+    # children passes the tests before the labelling is dropped before its
+    # canonical labelling. Each child so dropped has no order-n descendant,
+    # and the children it keeps come in the order they came before.
+    c = DegreeConstraint.regular(k, connected=True)
+    parents = dict(regular_levels(k, n, True))[n - 3]
+    level = enumeration._grow(parents, n - 3, n - 2, n, c)
+    monkeypatch.setattr(enumeration, "_has_child", lambda masks, n, c: True)
+    full = enumeration._grow(parents, n - 3, n - 2, n, c)
+    monkeypatch.undo()
+    alive = [enumeration._has_child(masks, n, c) for masks, _ in full]
+    assert (len(full), len(level)) == (unpruned, kept)
+    assert level == [pair for pair, ok in zip(full, alive) if ok]
+    for pair, ok in zip(full, alive):
+        if not ok:
+            assert enumeration._grow([pair], n - 2, n, n, c) == [], pair
+
+
+@pytest.mark.parametrize("connected", [True, False], ids=["connected", "any"])
+@pytest.mark.parametrize("k", [2, 3, 4, 5])
+def test_two_level_look_ahead_keeps_masks_and_order(monkeypatch, k, connected):
+    # With and without the look-ahead, every order up to the cap grows the
+    # same masks in the same order.
+    c = DegreeConstraint.regular(k, connected)
+    with_look_ahead = [grown(n, c) for n in range(1, enumeration._capability_limit(c) + 1)]
+    monkeypatch.setattr(enumeration, "_has_child", lambda masks, n, c: True)
+    without = [grown(n, c) for n in range(1, enumeration._capability_limit(c) + 1)]
+    assert with_look_ahead == without
+    assert sum(map(len, without)) > 0
+
+
 @pytest.mark.parametrize(
     "n,c",
     [
@@ -337,10 +381,12 @@ def test_levels_are_plain_pairs(n, c):
 @pytest.mark.parametrize(
     "n,c,calls",
     [
-        (12, DegreeConstraint.regular(3, connected=True), 2428),  # 2,910 without the look-ahead
+        # 2,428 with only the last-vertex look-ahead, 2,910 with neither
+        (12, DegreeConstraint.regular(3, connected=True), 1493),
+        (10, DegreeConstraint.regular(4, connected=True), 690),  # 1,100 with only the last
         (10, DegreeConstraint.max_degree(3, connected=True), 3153),
     ],
-    ids=["cubic-connected-12", "subcubic-connected-10"],
+    ids=["cubic-connected-12", "quartic-connected-10", "subcubic-connected-10"],
 )
 def test_canonical_call_counts(monkeypatch, n, c, calls):
     # Canonical labellings per enumeration, pinned: a rejection that moves
@@ -392,13 +438,15 @@ class TestOutputProperties:
     # than 18, so it stays serial; in the others the split falls at
     # different orders, or not at all, as the number of workers grows
     # (with _SPLIT = 16, subcubic-connected n=9 at 4 workers meets the
-    # threshold exactly: 64 parents at order 7).
+    # threshold exactly: 64 parents at order 7). The two-level look-ahead
+    # leaves cubic-connected n=10 28 parents at order 8, so it splits at 2
+    # and 3 workers only.
     @pytest.mark.parametrize(
         "n,c,levels",
         [
             (8, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 9, 18, 6]),
             (6, DegreeConstraint.any_degree(), [1, 2, 4, 11, 34]),
-            (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 117, 24]),
+            (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 28, 24]),
             (9, DegreeConstraint.max_degree(3, connected=True), [1, 1, 2, 6, 10, 29, 64, 194]),
         ],
         ids=["cubic-connected-8", "any-6", "cubic-connected-10", "subcubic-connected-9"],
