@@ -60,15 +60,19 @@ change:
   labelled and for the probe, so the two never test different things.
 
 Work is split at most once, as in nauty's geng
-(res/mod): levels grow serially until one has enough parents, and each
-worker grows its share of that level to order n. As every class has one
-parent, the classes do not depend on the split; they are sorted once by
-canonical graph6.
+(res/mod): levels grow serially until one has enough parents. That level
+is dealt into several strided shares per worker, and the pool's workers
+take them one at a time and grow each to order n, so a worker that drew
+cheap parents takes more shares. A level that reaches enough parents only
+at order n - 1 grows in process, as that last step costs less than a
+pool's start and stop. As every class has one parent, the classes do not
+depend on the split; they are sorted once by canonical graph6.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
+import gc
 import os
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -383,18 +387,38 @@ def _grow(level: list, m: int, stop: int, n: int, c: DegreeConstraint) -> list:
     return level
 
 
-# A level is shared out once it has this many parents per worker: fewer
-# give unevenly loaded shares, more keep more of the work serial. From 4 to
-# 64 the sweep's 14 enumerations at 2 workers on a 2-core host took 1.04 to
-# 1.15 s (medians of 5), within the host's noise; 16 sits in the middle.
+# A level is shared out once it has this many parents per worker, about
+# four per share: fewer give unevenly loaded shares, more keep more of the
+# work serial. From 8 to 32 the sweep's 14 enumerations at 2 workers on a
+# 2-core host took 0.83 to 0.92 s (medians of 10), within the host's noise;
+# 16 sits in the middle.
 _SPLIT = 16
 
+# The split level is dealt into this many strided shares per worker, one
+# share per task, so a worker that finishes early takes the next share.
+# Strided shares are not equally costly: the 64 order-7 parents of
+# subcubic-connected n=12 grow in 4.5 s of CPU, and 2 workers taking 2, 4
+# or 8 shares each would finish after 61%, 54% or 51% of it (one share each:
+# 61%). perfbench sweep_w2 on a 2-core host, medians of 5 alternating runs
+# (seed 1, --seconds 10):
+#
+#     shares per worker     2       4       8
+#     norm_item_p99_ms      1.87    1.57    1.59
+#     norm_wall_s           0.619   0.566   0.575
+#     norm_cpu_s            0.868   0.859   0.892
+_SHARES = 4
 
-def enumerate_graphs(
-    n: int, c: DegreeConstraint, workers: int = 1
-) -> list[Graph]:
-    """All graphs of order n satisfying c, one per isomorphism class, in
-    ascending canonical-graph6 order."""
+
+def _cpus() -> int:
+    # the CPUs this process may run on, which a container or a taskset may
+    # hold below the machine's count
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _level(n: int, c: DegreeConstraint, workers: int) -> list:
+    # the order-n level of (masks, ()) pairs, in no particular order
     _need_int("n", n, 1)
     _need_int("workers", workers, 1)
     limit = _capability_limit(c)
@@ -405,22 +429,36 @@ def enumerate_graphs(
     start = c.mode != MODE_REGULAR or _regular_prefix_ok((0,), 1, n, c.bound)
     level = [((0,), ())] if start else []
     m = 1
-    while m < n and (workers == 1 or len(level) < _SPLIT * workers):
+    # A split at order n - 1 would leave each share one level to grow,
+    # cheaper in process than a pool's start and stop.
+    while m < n and (workers == 1 or m == n - 1 or len(level) < _SPLIT * workers):
         level = _grow(level, m, m + 1, n, c)
         m += 1
     if m < n:
-        # one share per worker, whatever the number of CPUs
-        processes = min(workers, os.cpu_count() or 1)
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
-            shares = [level[i::workers] for i in range(workers)]
+        # at most one process per CPU; each worker freezes the heap it
+        # inherits, so its collections do not walk the parent's objects
+        processes = min(workers, _cpus())
+        with concurrent.futures.ProcessPoolExecutor(
+            max_workers=processes, initializer=gc.freeze
+        ) as pool:
+            k = _SHARES * workers
+            shares = [level[i::k] for i in range(k)]
             grown = pool.map(_grow, shares, repeat(m), repeat(n), repeat(n), repeat(c))
             level = [pair for share in grown for pair in share]
+    return level
+
+
+def enumerate_graphs(
+    n: int, c: DegreeConstraint, workers: int = 1
+) -> list[Graph]:
+    """All graphs of order n satisfying c, one per isomorphism class, in
+    ascending canonical-graph6 order."""
     # Construction meets c: children of connected targets get an edge, only
     # vertices below the bound gain one, and at order n the regular prefix
     # test leaves every degree at the bound.
-    return sorted((Graph(n, masks) for masks, _ in level), key=to_graph6)
+    return sorted((Graph(n, masks) for masks, _ in _level(n, c, workers)), key=to_graph6)
 
 
 def count(n: int, c: DegreeConstraint, workers: int = 1) -> int:
     """Number of isomorphism classes of order-n graphs satisfying c."""
-    return len(enumerate_graphs(n, c, workers=workers))
+    return len(_level(n, c, workers))
