@@ -63,16 +63,14 @@ Work is split at most once, as in nauty's geng
 (res/mod): levels grow serially until one has enough parents. That level
 is dealt into several strided shares per worker, and the pool's workers
 take them one at a time and grow each to order n, so a worker that drew
-cheap parents takes more shares. A level that reaches enough parents only
-at order n - 1 grows in process, as that last step costs less than a
-pool's start and stop. As every class has one parent, the classes do not
-depend on the split; they are sorted once by canonical graph6.
+cheap parents takes more shares. As every class has one parent, the
+classes do not depend on the split; they are sorted once by canonical
+graph6.
 """
 
 from __future__ import annotations
 
 import concurrent.futures
-import gc
 import os
 from dataclasses import dataclass
 from itertools import combinations, repeat
@@ -403,9 +401,9 @@ _SPLIT = 16
 # (seed 1, --seconds 10):
 #
 #     shares per worker     2       4       8
-#     norm_item_p99_ms      1.87    1.57    1.59
-#     norm_wall_s           0.619   0.566   0.575
-#     norm_cpu_s            0.868   0.859   0.892
+#     norm_item_p99_ms      1.89    1.59    1.56
+#     norm_wall_s           0.631   0.595   0.593
+#     norm_cpu_s            0.909   0.914   0.937
 _SHARES = 4
 
 
@@ -429,18 +427,13 @@ def _level(n: int, c: DegreeConstraint, workers: int) -> list:
     start = c.mode != MODE_REGULAR or _regular_prefix_ok((0,), 1, n, c.bound)
     level = [((0,), ())] if start else []
     m = 1
-    # A split at order n - 1 would leave each share one level to grow,
-    # cheaper in process than a pool's start and stop.
-    while m < n and (workers == 1 or m == n - 1 or len(level) < _SPLIT * workers):
+    while m < n and (workers == 1 or len(level) < _SPLIT * workers):
         level = _grow(level, m, m + 1, n, c)
         m += 1
     if m < n:
-        # at most one process per CPU; each worker freezes the heap it
-        # inherits, so its collections do not walk the parent's objects
+        # at most one process per CPU
         processes = min(workers, _cpus())
-        with concurrent.futures.ProcessPoolExecutor(
-            max_workers=processes, initializer=gc.freeze
-        ) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
             k = _SHARES * workers
             shares = [level[i::k] for i in range(k)]
             grown = pool.map(_grow, shares, repeat(m), repeat(n), repeat(n), repeat(c))

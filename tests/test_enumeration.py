@@ -1,7 +1,6 @@
 """Isomorph-free enumeration against published counts and brute force."""
 
 import concurrent.futures
-import gc
 import os
 from itertools import combinations
 
@@ -35,26 +34,16 @@ CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
 # published table
 SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
 
-# (n, constraint, parents at each order below n) for the split tests
-SPLIT_CASES = [
-    (8, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 9, 18, 6]),
-    (6, DegreeConstraint.any_degree(), [1, 2, 4, 11, 34]),
-    (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 28, 24]),
-    (9, DegreeConstraint.max_degree(3, connected=True), [1, 1, 2, 6, 10, 29, 64, 194]),
-]
-
 
 def fake_pool(monkeypatch):
     """Replace the process pool by an in-process executor on a 2-CPU
     machine, so no process starts. Returns two lists it appends to: the
     max_workers of each construction, and the shares of each map. Every
-    share must hold plain (masks, generators) tuple pairs. The initializer
-    is accepted and never run: it is meant for a worker process, and here
-    it would act on the test's own."""
+    share must hold plain (masks, generators) tuple pairs."""
     started, dealt = [], []
 
     class FakeExecutor:
-        def __init__(self, max_workers, initializer=None):
+        def __init__(self, max_workers):
             started.append(max_workers)
 
         def __enter__(self):
@@ -439,12 +428,11 @@ class TestOutputProperties:
     def test_pool_size_bounded_by_cpus(self, monkeypatch, workers):
         started, _ = fake_pool(monkeypatch)
         c = DegreeConstraint.max_degree(3, connected=True)
-        seq = [to_graph6(g) for g in enumerate_graphs(10, c, workers=1)]
-        par = [to_graph6(g) for g in enumerate_graphs(10, c, workers=workers)]
+        seq = [to_graph6(g) for g in enumerate_graphs(9, c, workers=1)]
+        par = [to_graph6(g) for g in enumerate_graphs(9, c, workers=workers)]
         assert par == seq
-        # one pool per call, once some level below order n - 1 has _SPLIT
-        # parents per worker (the 194 at order 8 for 5 workers, never for
-        # 10**6)
+        # one pool per call, once some level has _SPLIT parents per worker
+        # (the 194 at order 8 for 5 workers, never for 10**6)
         assert started == ([2] if workers == 5 else [])
 
     @pytest.mark.parametrize(
@@ -462,15 +450,17 @@ class TestOutputProperties:
     # than 18, so it stays serial; in the others the split falls at
     # different orders, or not at all, as the number of workers grows
     # (with _SPLIT = 16, subcubic-connected n=9 at 4 workers meets the
-    # threshold exactly: 64 parents at order 7). A level of order n - 1
-    # grows in process even when it meets the threshold: any-degree n=6 at
-    # 2 workers (34 parents at order 5) and subcubic-connected n=9 at 7
-    # (194 at order 8) start no pool. The two-level look-ahead leaves
-    # cubic-connected n=10 28 parents at order 8, so it splits at 2 and 3
-    # workers only.
+    # threshold exactly: 64 parents at order 7). The two-level look-ahead
+    # leaves cubic-connected n=10 28 parents at order 8, so it splits at 2
+    # and 3 workers only.
     @pytest.mark.parametrize(
         "n,c,levels",
-        SPLIT_CASES,
+        [
+            (8, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 9, 18, 6]),
+            (6, DegreeConstraint.any_degree(), [1, 2, 4, 11, 34]),
+            (10, DegreeConstraint.regular(3, connected=True), [1, 1, 2, 6, 10, 29, 60, 28, 24]),
+            (9, DegreeConstraint.max_degree(3, connected=True), [1, 1, 2, 6, 10, 29, 64, 194]),
+        ],
         ids=["cubic-connected-8", "any-6", "cubic-connected-10", "subcubic-connected-9"],
     )
     def test_split_point_keeps_masks_and_order(self, monkeypatch, n, c, levels):
@@ -481,51 +471,31 @@ class TestOutputProperties:
             dealt.clear()
             got = [g._masks for g in enumerate_graphs(n, c, workers=workers)]
             assert got == want, workers
-            split = next((k for k in levels[:-1] if workers > 1 and k >= _SPLIT * workers), None)
+            split = next(
+                (m for m, k in enumerate(levels, 1) if workers > 1 and k >= _SPLIT * workers), None
+            )
             if split is None:
                 assert started == dealt == []
             else:
                 assert started == [min(workers, 2)]
+                # each parent of the split level in exactly one of the
+                # strided shares, whose sizes differ by at most one
+                parents = enumeration._grow([((0,), ())], 1, split, n, c)
+                assert len(parents) == levels[split - 1]
                 k = _SHARES * workers
-                assert [[len(s) for s in shares] for shares in dealt] == [
-                    [len(range(i, split, k)) for i in range(k)]
-                ]
+                (shares,) = dealt
+                assert [len(s) for s in shares] == [len(range(i, len(parents), k)) for i in range(k)]
+                assert sorted(pair for share in shares for pair in share) == sorted(parents)
         if n == 8:
             assert max(levels) < _SPLIT * 2
 
-    @pytest.mark.parametrize("n,c,levels", SPLIT_CASES[2:], ids=["cubic-connected-10", "subcubic-connected-9"])
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_split_level_dealt_once(self, monkeypatch, n, c, levels, workers):
-        # every parent of the split level lands in exactly one share, and
-        # the shares differ in size by at most one
-        _, dealt = fake_pool(monkeypatch)
-        enumerate_graphs(n, c, workers=workers)
-        (shares,) = dealt
-        order = next(m for m, k in enumerate(levels, 1) if k >= _SPLIT * workers)
-        level = enumeration._grow([((0,), ())], 1, order, n, c)
-        assert sorted(pair for share in shares for pair in share) == sorted(level)
-        assert len(shares) == _SHARES * workers
-        assert max(map(len, shares)) - min(map(len, shares)) <= 1
-
-    def test_last_level_split_starts_no_pool(self, monkeypatch):
-        # any-degree n=6 at 2 workers: the order-5 level meets the
-        # threshold, and it is the last before n, so it grows in process
-        started, _ = fake_pool(monkeypatch)
-        c = DegreeConstraint.any_degree()
-        assert len(enumeration._grow([((0,), ())], 1, 5, 6, c)) >= _SPLIT * 2
-        assert len(enumerate_graphs(6, c, workers=2)) == ALL_GRAPHS[6]
-        assert started == []
-
     def test_real_pool_keeps_masks_and_order(self):
-        # cubic-connected n=12 splits at 2 and 3 workers; the workers
-        # freeze their own heaps, not the caller's
+        # cubic-connected n=12 splits at 2 and 3 workers
         c = DegreeConstraint.regular(3, connected=True)
-        frozen = gc.get_freeze_count()
         want = [g._masks for g in enumerate_graphs(12, c, workers=1)]
         for workers in (2, 3):
             assert [g._masks for g in enumerate_graphs(12, c, workers=workers)] == want
         assert len(want) == count(12, c, workers=2) == CONNECTED_CUBIC[12]
-        assert gc.get_freeze_count() == frozen
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 6), st.booleans())
