@@ -63,7 +63,9 @@ Work is split at most once, as in nauty's geng
 (res/mod): levels grow serially until one has enough parents. That level
 is dealt into several strided shares per worker, and the pool's workers
 take them one at a time and grow each to order n, so a worker that drew
-cheap parents takes more shares. As every class has one parent, the
+cheap parents takes more shares. A level of order n - 1 is shared out
+only when it is large, since a small one costs less to grow in process
+than a pool costs to start and stop. As every class has one parent, the
 classes do not depend on the split; they are sorted once by canonical
 graph6.
 """
@@ -406,6 +408,16 @@ _SPLIT = 16
 #     norm_cpu_s            0.909   0.914   0.937
 _SHARES = 4
 
+# A level of order n - 1 is shared out only from this many parents: it has
+# one step left, and a small one costs less to grow in process than a pool
+# costs to start and stop. On a 2-core host, 10 alternating runs each,
+# growing in process won every run at 34, 64 and 78 parents (any-degree
+# n=6 at 2 workers, 22 ms against 52 ms pooled; subcubic-connected n=8,
+# 41 against 69 ms; connected max-degree-4 n=7, 36 against 59 ms), broke
+# even at 112, 150 and 156, and lost at 1,044 (any-degree n=8 at 10
+# workers, 1.29 s against 0.94 s pooled).
+_LAST_SPLIT = 100
+
 
 def _cpus() -> int:
     # the CPUs this process may run on, which a container or a taskset may
@@ -427,7 +439,11 @@ def _level(n: int, c: DegreeConstraint, workers: int) -> list:
     start = c.mode != MODE_REGULAR or _regular_prefix_ok((0,), 1, n, c.bound)
     level = [((0,), ())] if start else []
     m = 1
-    while m < n and (workers == 1 or len(level) < _SPLIT * workers):
+    while m < n and (
+        workers == 1
+        or len(level) < _SPLIT * workers
+        or (m == n - 1 and len(level) < _LAST_SPLIT)
+    ):
         level = _grow(level, m, m + 1, n, c)
         m += 1
     if m < n:

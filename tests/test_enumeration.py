@@ -22,7 +22,7 @@ from ccmax import (
     to_graph6,
 )
 import ccmax.enumeration as enumeration
-from ccmax.enumeration import _SHARES, _SPLIT, _deletable
+from ccmax.enumeration import _LAST_SPLIT, _SHARES, _SPLIT, _deletable
 from ccmax.graphs import _canon_masks, _spans
 
 # OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
@@ -450,9 +450,11 @@ class TestOutputProperties:
     # than 18, so it stays serial; in the others the split falls at
     # different orders, or not at all, as the number of workers grows
     # (with _SPLIT = 16, subcubic-connected n=9 at 4 workers meets the
-    # threshold exactly: 64 parents at order 7). The two-level look-ahead
-    # leaves cubic-connected n=10 28 parents at order 8, so it splits at 2
-    # and 3 workers only.
+    # threshold exactly: 64 parents at order 7). A level of order n - 1 is
+    # shared out only from _LAST_SPLIT parents: any-degree n=6 at 2 workers
+    # (34 at order 5) starts no pool, subcubic-connected n=9 at 7 (194 at
+    # order 8) does. The two-level look-ahead leaves cubic-connected n=10
+    # 28 parents at order 8, so it splits at 2 and 3 workers only.
     @pytest.mark.parametrize(
         "n,c,levels",
         [
@@ -472,7 +474,12 @@ class TestOutputProperties:
             got = [g._masks for g in enumerate_graphs(n, c, workers=workers)]
             assert got == want, workers
             split = next(
-                (m for m, k in enumerate(levels, 1) if workers > 1 and k >= _SPLIT * workers), None
+                (
+                    m
+                    for m, k in enumerate(levels, 1)
+                    if workers > 1 and k >= _SPLIT * workers and (m < n - 1 or k >= _LAST_SPLIT)
+                ),
+                None,
             )
             if split is None:
                 assert started == dealt == []
