@@ -10,7 +10,7 @@ and every report matches its golden. Standard error gets one
 one run to the next but for its total line.
 
 On a 2-core machine with Python 3.11 the 30 cells, checks included, took
-8.4-9.0 s at 1 worker and 6.0-7.3 s at 2 (3 runs each; the host's speed
+9.2-11.7 s at 1 worker and 6.7-7.7 s at 2 (3 runs each; the host's speed
 swings by up to 2x). T23 n=12 is over half of it (5.1 s at 1 worker and
 3.8 s at 2, mostly enumeration); T4 n=8 takes 1.2-2.2 s, enumeration
 included, and T1 k=3 n=12 0.25-0.3 s.

@@ -414,8 +414,8 @@ _SHARES = 4
 # growing in process won every run at 34, 64 and 78 parents (any-degree
 # n=6 at 2 workers, 22 ms against 52 ms pooled; subcubic-connected n=8,
 # 41 against 69 ms; connected max-degree-4 n=7, 36 against 59 ms), broke
-# even at 112, 150 and 156, and lost at 1,044 (any-degree n=8 at 10
-# workers, 1.29 s against 0.94 s pooled).
+# even at 112, 150 and 156 (the last at 3 workers), and lost at 1,044
+# (any-degree n=8 at 10 workers, 1.29 s against 0.94 s pooled).
 _LAST_SPLIT = 100
 
 
