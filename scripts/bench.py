@@ -144,6 +144,8 @@ def main(argv=None) -> int:
             "platform": platform.platform(),
             "machine": platform.machine(),
             "nproc": os.cpu_count(),
+            # the enumerator caps its workers at this count
+            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
             "cpu_model": cpu_model(),
         },
         "python": platform.python_version(),

@@ -14,7 +14,8 @@ On a 2-core machine with Python 3.11 the 30 cells, checks included, took
 swings by up to 2x). T23 n=12 is over half of it (5.1 s at 1 worker and
 3.8 s at 2, mostly enumeration); T4 n=8 takes 1.2-2.2 s, enumeration
 included, and T1 k=3 n=12 0.25-0.3 s.
---workers splits each large enumeration once across processes.
+--workers splits each large enumeration once across processes; it is
+capped at the CPUs this process may use.
 """
 
 import argparse

@@ -143,6 +143,7 @@ def _cmd_verify(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
+    workers_help = "processes for a large enumeration, capped at the CPUs this process may use"
     parser = argparse.ArgumentParser(
         prog="cc",
         description="Exact clustering coefficients, extremal families, and "
@@ -187,7 +188,7 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--regular", type=int, help="exact degree")
     p.add_argument("--connected", action="store_true")
     p.add_argument("--count-only", action="store_true")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1, help=workers_help)
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("verify", help="run one exhaustive verification")
@@ -203,7 +204,7 @@ def _build_parser() -> argparse.ArgumentParser:
     q.add_argument("-n", type=int, required=True)
     q.set_defaults(verify=lambda a: verify_theorem4(a.n, workers=a.workers))
     for q in vsub.choices.values():  # the enumerating checks; caveman has no workers
-        q.add_argument("--workers", type=int, default=1)
+        q.add_argument("--workers", type=int, default=1, help=workers_help)
     q = vsub.add_parser("caveman", help="rewiring strictly increases C")
     q.add_argument("-k", type=int, required=True)
     q.add_argument("-l", type=int, required=True)

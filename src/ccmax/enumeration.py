@@ -30,9 +30,9 @@ edges to wait for a later one, and prune prefixes that cannot complete to a
 k-regular graph; every induced subgraph of a k-regular graph passes that
 test, so no target graph loses its chain of canonical parents.
 
-Four rejections come before the expensive step. Each drops only children
-that a later test drops anyway, so the classes and their order do not
-change:
+Three rejections and one look-ahead come before the expensive step. Each
+drops only children that a later test drops anyway, so the classes and
+their order do not change:
 
 - a neighbour set of size d0 + 1, d0 the least degree of a deletable parent
   vertex, is built only if it holds every deletable vertex of degree d0.
@@ -42,32 +42,32 @@ change:
 - for a regular target, the prefix test runs once per neighbour-set size,
   not once per set: with the forced vertices in, every old vertex meets its
   bound, and what is left depends on the size alone;
-- for a regular target of order n, a child of order n - 1 has one
-  completion: the last vertex joins every vertex still short of an edge.
-  All vertices of the completion share one f, so the next level drops it
-  when a deletable vertex has a smaller h than the last vertex. Such a
-  child has no descendant and is dropped before its canonical labelling;
-- for a regular target of order n, a child of order n - 2 is dropped
-  before its canonical labelling when none of its own children passes the
-  tests that come before a labelling (the forced vertices, the size test,
-  the f and h tests and the completion test above). Each of those tests
-  reads only the graph, not its vertex numbering, so it gives the same
-  answer on the unlabelled child as on its canonical form, and no
-  generators are needed: without them every neighbour set is tried, and
-  the probe stops at the first that passes. A child that fails has no
-  order-(n - 1) child that reaches a labelling, so no descendant. One
-  generator, _candidates, runs these tests both for the children that get
-  labelled and for the probe, so the two never test different things.
+- a child is dropped when some deletable vertex has a smaller (f, h) than
+  the new vertex (the f and h tests above);
+- for a regular target of order n, a child of order n - 1 or n - 2 is
+  dropped before its canonical labelling when none of its own children
+  passes the tests that come before a labelling, this look-ahead included.
+  Such a child has no descendant that reaches a labelling. At order n - 1
+  the one child is the completion, in which the last vertex joins every
+  vertex still short of an edge; all its vertices share one f, so it
+  passes when no deletable vertex has a smaller h than the last vertex. At
+  order n - 2 every neighbour set is tried, and the look-ahead stops at the
+  first that passes. Each test reads only the graph, not its vertex
+  numbering, so it gives the same answer on the unlabelled child as on its
+  canonical form, and no generators are needed. One generator,
+  _candidates, runs these tests both for the children that get labelled
+  and for the look-ahead, so the two never test different things.
 
-Work is split at most once, as in nauty's geng
-(res/mod): levels grow serially until one has enough parents. That level
-is dealt into several strided shares per worker, and the pool's workers
-take them one at a time and grow each to order n, so a worker that drew
-cheap parents takes more shares. A level of order n - 1 is shared out
-only when it is large, since a small one costs less to grow in process
-than a pool costs to start and stop. As every class has one parent, the
-classes do not depend on the split; they are sorted once by canonical
-graph6.
+Work is split at most once, as in nauty's geng (res/mod). The number of
+workers is first capped at the CPUs this process may use, so one usable
+CPU never starts a pool. Levels grow serially until one has enough parents
+per worker. That level is dealt into several strided shares per worker,
+and the pool's workers take them one at a time and grow each to order n,
+so a worker that drew cheap parents takes more shares. A level of order
+n - 1 is shared out only when it is large, since a small one costs less to
+grow in process than a pool costs to start and stop. As every class has
+one parent, the classes do not depend on the split; they are sorted once
+by canonical graph6.
 """
 
 from __future__ import annotations
@@ -241,25 +241,6 @@ def _least_deletable(parent: Sequence[int], degs: Sequence[int], connected: bool
             return d, low
 
 
-def _completion_ok(masks: Sequence[int], k: int, connected: bool) -> bool:
-    # An order-(n-1) prefix of a k-regular order-n target has one child:
-    # the last vertex joins every vertex short of an edge. All its vertices
-    # then share one f, so the next level drops that child iff a deletable
-    # vertex has a smaller h than the last vertex.
-    last = len(masks)
-    full = list(masks)
-    new = 0
-    for u, x in enumerate(masks):
-        if x.bit_count() < k:
-            full[u] = x | 1 << last
-            new |= 1 << u
-    full.append(new)
-    h_last = _h(full, last)
-    return not any(
-        _h(full, u) < h_last and _deletable(full, u, connected) for u in range(last)
-    )
-
-
 def _candidates(
     parent: Sequence[int], gens: tuple, m: int, n: int, c: DegreeConstraint
 ) -> Iterator[tuple[list[int], list[int]]]:
@@ -293,7 +274,7 @@ def _candidates(
     if regular:
         sizes = _regular_sizes(degs, n, cap, sizes)
     if not sizes:
-        # no child; many probed children end here, before f is computed
+        # no child; many look-ahead prefixes end here, before f is computed
         return
     base = _invariants(parent, degs)
     # Neighbour sets in one orbit of Aut(parent) give isomorphic children,
@@ -343,16 +324,33 @@ def _candidates(
                 if min(hs) < hm:
                     continue
                 ties = [u for u, h in zip(ties, hs) if h == hm]
-            if regular and newm == n - 1 and not _completion_ok(masks, cap, connected):
+            if regular and n - 2 <= newm < n and not _has_child(masks, n, c):
                 continue
             yield masks, ties
 
 
 def _has_child(masks: Sequence[int], n: int, c: DegreeConstraint) -> bool:
-    # whether some child of masks passes every test before the labelling;
-    # each test is invariant under relabelling, so masks need not be
-    # canonical and no generators are needed (module docstring)
-    return any(_candidates(masks, (), len(masks), n, c))
+    # whether some child of the order-m prefix masks of a regular order-n
+    # target passes every test before the labelling; each test is invariant
+    # under relabelling, so masks need not be canonical and no generators
+    # are needed (module docstring)
+    m = len(masks)
+    if m < n - 1:
+        return any(_candidates(masks, (), m, n, c))
+    # The one child: the last vertex joins every vertex short of an edge.
+    # All its vertices share one f, so it passes iff no deletable vertex has
+    # a smaller h than the last vertex. This closed form stays because the
+    # generic _candidates walk costs about a third more calls on
+    # cubic-connected n=12 (1.57M against 1.20M).
+    full = list(masks)
+    new = 0
+    for u, x in enumerate(masks):
+        if x.bit_count() < c.bound:
+            full[u] = x | 1 << m
+            new |= 1 << u
+    full.append(new)
+    h_last = _h(full, m)
+    return not any(_h(full, u) < h_last and _deletable(full, u, c.connected) for u in range(m))
 
 
 def _children(
@@ -361,13 +359,8 @@ def _children(
     # (canonical masks, generators) of the admissible children of an order-m
     # canonical parent with generators gens that pass the orbit test, one
     # per class (module docstring); children of order n keep no generators.
-    newm = m + 1
-    # a regular target's order-(n - 2) child must have a child of its own
-    probe = c.mode == MODE_REGULAR and newm == n - 2
     out = []
     for masks, ties in _candidates(parent, gens, m, n, c):
-        if probe and not _has_child(masks, n, c):
-            continue
         canon = _canon_masks(masks)
         # The canonical deletion vertex is the highest canonical position
         # among m and its ties; the child is kept iff m lies in its orbit.
@@ -375,7 +368,7 @@ def _children(
         top = max((pos[u] for u in ties), default=-1)
         if top > pos[m] and top not in _orbit(canon.gens, pos[m], getitem):
             continue
-        out.append((tuple(canon), canon.gens if newm < n else ()))
+        out.append((tuple(canon), canon.gens if m + 1 < n else ()))
     return out
 
 
@@ -414,8 +407,10 @@ _SHARES = 4
 # growing in process won every run at 34, 64 and 78 parents (any-degree
 # n=6 at 2 workers, 22 ms against 52 ms pooled; subcubic-connected n=8,
 # 41 against 69 ms; connected max-degree-4 n=7, 36 against 59 ms), broke
-# even at 112, 150 and 156 (the last at 3 workers), and lost at 1,044
-# (any-degree n=8 at 10 workers, 1.29 s against 0.94 s pooled).
+# even at 112, 150 and 156, and lost at 1,044 (1.29 s against 0.94 s
+# pooled). The last two ran 2 processes with the deal of 3 and 10 workers
+# (12 and 40 shares), from before the worker count was capped at the
+# usable CPUs: any-degree n=7 split at order 6, and n=8 at order 7.
 _LAST_SPLIT = 100
 
 
@@ -431,6 +426,8 @@ def _level(n: int, c: DegreeConstraint, workers: int) -> list:
     # the order-n level of (masks, ()) pairs, in no particular order
     _need_int("n", n, 1)
     _need_int("workers", workers, 1)
+    # at most one process per CPU, and the split reads the same number
+    workers = min(workers, _cpus())
     limit = _capability_limit(c)
     if n > limit:
         raise CapabilityError(
@@ -447,9 +444,7 @@ def _level(n: int, c: DegreeConstraint, workers: int) -> list:
         level = _grow(level, m, m + 1, n, c)
         m += 1
     if m < n:
-        # at most one process per CPU
-        processes = min(workers, _cpus())
-        with concurrent.futures.ProcessPoolExecutor(max_workers=processes) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             k = _SHARES * workers
             shares = [level[i::k] for i in range(k)]
             grown = pool.map(_grow, shares, repeat(m), repeat(n), repeat(n), repeat(c))
@@ -461,7 +456,8 @@ def enumerate_graphs(
     n: int, c: DegreeConstraint, workers: int = 1
 ) -> list[Graph]:
     """All graphs of order n satisfying c, one per isomorphism class, in
-    ascending canonical-graph6 order."""
+    ascending canonical-graph6 order. workers is capped at the CPUs this
+    process may use; the output does not depend on it."""
     # Construction meets c: children of connected targets get an edge, only
     # vertices below the bound gain one, and at order n the regular prefix
     # test leaves every degree at the bound.

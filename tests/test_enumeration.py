@@ -35,11 +35,11 @@ CONNECTED_QUARTIC = {5: 1, 6: 1, 7: 2, 8: 6, 9: 16, 10: 59}
 SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
 
 
-def fake_pool(monkeypatch):
-    """Replace the process pool by an in-process executor on a 2-CPU
-    machine, so no process starts. Returns two lists it appends to: the
-    max_workers of each construction, and the shares of each map. Every
-    share must hold plain (masks, generators) tuple pairs."""
+def fake_pool(monkeypatch, cpus):
+    """Replace the process pool by an in-process executor on a machine with
+    cpus usable CPUs, so no process starts. Returns two lists it appends
+    to: the max_workers of each construction, and the shares of each map.
+    Every share must hold plain (masks, generators) tuple pairs."""
     started, dealt = [], []
 
     class FakeExecutor:
@@ -60,8 +60,8 @@ def fake_pool(monkeypatch):
             return map(fn, shares, *rest)
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return started, dealt
 
 
@@ -286,6 +286,8 @@ def test_look_ahead_spares_canonical_calls_exactly(monkeypatch, k):
     # labelling if a deletable vertex of its one completion has a smaller h
     # than the completion's last vertex. Each child so dropped has no child
     # of its own, so the look-ahead only moves a rejection one level up.
+    # Growing order n - 2 to n - 1 reaches only this look-ahead, so
+    # patching _has_child turns off no other test.
     n = 10
     c = DegreeConstraint.regular(k, connected=True)
     calls = []
@@ -300,13 +302,49 @@ def test_look_ahead_spares_canonical_calls_exactly(monkeypatch, k):
             assert enumeration._h(full, u) >= h_last or not _deletable(full, u, True)
     # the order n - 1 level the enumerator would keep without the look-ahead
     parents = dict(regular_levels(k, n, True))[n - 2]
-    monkeypatch.setattr(enumeration, "_completion_ok", lambda masks, k, connected: True)
+    monkeypatch.setattr(enumeration, "_has_child", lambda masks, n, c: True)
     unpruned = enumeration._grow(parents, n - 2, n - 1, n, c)
     monkeypatch.undo()
-    dropped = [pair for pair in unpruned if not enumeration._completion_ok(pair[0], k, True)]
+    dropped = [pair for pair in unpruned if not enumeration._has_child(pair[0], n, c)]
     assert dropped
     for child, gens in dropped:
         assert enumeration._children(child, gens, n - 1, n, c) == []
+
+
+@pytest.mark.parametrize(
+    "n,c",
+    [
+        (10, DegreeConstraint.regular(3, connected=True)),
+        (12, DegreeConstraint.regular(3, connected=True)),
+        (10, DegreeConstraint.regular(3)),
+        (10, DegreeConstraint.regular(4, connected=True)),
+    ],
+    ids=["cubic-connected-10", "cubic-connected-12", "cubic-10", "quartic-connected-10"],
+)
+def test_last_look_ahead_closed_form_equals_candidates(n, c):
+    # At order n - 1, _has_child answers in closed form: the one completion
+    # passes iff no deletable vertex has a smaller h than the last vertex.
+    # It must agree with trying every neighbour set through _candidates on
+    # every one-vertex-deleted subgraph of a target graph that passes the
+    # prefix test, the vertex deletable as the enumerator reads it (so the
+    # subgraph of a connected target is connected). The closed form stays because the generic walk costs
+    # more: on cubic-connected n=12 it raised the profiled calls from 1.20M
+    # to 1.57M and the _spans calls from 11,638 to 27,320.
+    answers = set()
+    for g in enumerate_graphs(n, c):
+        for v in range(n):
+            if not _deletable(g._masks, v, c.connected):
+                continue
+            keep = [u for u in range(n) if u != v]
+            masks = [
+                sum(1 << i for i, w in enumerate(keep) if g._masks[u] >> w & 1) for u in keep
+            ]
+            if not enumeration._regular_prefix_ok(masks, n - 1, n, c.bound):
+                continue
+            want = any(enumeration._candidates(masks, (), n - 1, n, c))
+            assert enumeration._has_child(masks, n, c) == want, (to_graph6(g), v)
+            answers.add(want)
+    assert answers == {True, False}
 
 
 def grown(n, c):
@@ -343,8 +381,9 @@ def test_two_level_look_ahead_drops_only_dead_prefixes(monkeypatch, k, n, unprun
 @pytest.mark.parametrize("connected", [True, False], ids=["connected", "any"])
 @pytest.mark.parametrize("k", [2, 3, 4, 5])
 def test_two_level_look_ahead_keeps_masks_and_order(monkeypatch, k, connected):
-    # With and without the look-ahead, every order up to the cap grows the
-    # same masks in the same order.
+    # With and without the look-ahead (at orders n - 1 and n - 2 alike,
+    # both turned off by the one patch), every order up to the cap grows
+    # the same masks in the same order.
     c = DegreeConstraint.regular(k, connected)
     with_look_ahead = [grown(n, c) for n in range(1, enumeration._capability_limit(c) + 1)]
     monkeypatch.setattr(enumeration, "_has_child", lambda masks, n, c: True)
@@ -426,14 +465,36 @@ class TestOutputProperties:
 
     @pytest.mark.parametrize("workers", [5, 10**6])
     def test_pool_size_bounded_by_cpus(self, monkeypatch, workers):
-        started, _ = fake_pool(monkeypatch)
+        started, _ = fake_pool(monkeypatch, 2)
         c = DegreeConstraint.max_degree(3, connected=True)
         seq = [to_graph6(g) for g in enumerate_graphs(9, c, workers=1)]
         par = [to_graph6(g) for g in enumerate_graphs(9, c, workers=workers)]
         assert par == seq
-        # one pool per call, once some level has _SPLIT parents per worker
-        # (the 194 at order 8 for 5 workers, never for 10**6)
-        assert started == ([2] if workers == 5 else [])
+        # workers is capped at the 2 CPUs first, so both split as 2 workers
+        # do: one pool, at the 64 parents of order 7
+        assert started == [2]
+
+    def test_one_cpu_starts_no_pool(self, monkeypatch):
+        # subcubic-connected n=9 splits at 2, 4 and 7 workers on 8 CPUs
+        started, dealt = fake_pool(monkeypatch, 1)
+        c = DegreeConstraint.max_degree(3, connected=True)
+        want = [g._masks for g in enumerate_graphs(9, c, workers=1)]
+        for workers in (2, 4, 7):
+            assert [g._masks for g in enumerate_graphs(9, c, workers=workers)] == want
+        assert started == dealt == []
+
+    def test_more_workers_than_cpus_split_as_cpus(self, monkeypatch):
+        # the split order and the shares read the capped count
+        started, dealt = fake_pool(monkeypatch, 3)
+        c = DegreeConstraint.max_degree(3, connected=True)
+        runs = []
+        for workers in (3, 4, 10**6):
+            started.clear()
+            dealt.clear()
+            masks = [g._masks for g in enumerate_graphs(9, c, workers=workers)]
+            runs.append((masks, started[:], dealt[:]))
+        assert runs[0][1] == [3] and len(runs[0][2]) == 1
+        assert runs[1] == runs[0] and runs[2] == runs[0]
 
     @pytest.mark.parametrize(
         "affinity,cpus,want", [({0}, 8, 1), ({0, 1, 2}, 8, 3), (None, 6, 6), (None, None, 1)]
@@ -449,6 +510,7 @@ class TestOutputProperties:
     # Parents at each order below n. Cubic-connected n=8 never has more
     # than 18, so it stays serial; in the others the split falls at
     # different orders, or not at all, as the number of workers grows
+    # (8 usable CPUs, so no workers value tried here is capped)
     # (with _SPLIT = 16, subcubic-connected n=9 at 4 workers meets the
     # threshold exactly: 64 parents at order 7). A level of order n - 1 is
     # shared out only from _LAST_SPLIT parents: any-degree n=6 at 2 workers
@@ -466,30 +528,32 @@ class TestOutputProperties:
         ids=["cubic-connected-8", "any-6", "cubic-connected-10", "subcubic-connected-9"],
     )
     def test_split_point_keeps_masks_and_order(self, monkeypatch, n, c, levels):
-        started, dealt = fake_pool(monkeypatch)
+        cpus = 8
+        started, dealt = fake_pool(monkeypatch, cpus)
         want = [g._masks for g in enum_reference.enumerate_graphs(n, c)]
         for workers in (1, 2, 3, 4, 7):
             started.clear()
             dealt.clear()
             got = [g._masks for g in enumerate_graphs(n, c, workers=workers)]
             assert got == want, workers
+            used = min(workers, cpus)
             split = next(
                 (
                     m
                     for m, k in enumerate(levels, 1)
-                    if workers > 1 and k >= _SPLIT * workers and (m < n - 1 or k >= _LAST_SPLIT)
+                    if used > 1 and k >= _SPLIT * used and (m < n - 1 or k >= _LAST_SPLIT)
                 ),
                 None,
             )
             if split is None:
                 assert started == dealt == []
             else:
-                assert started == [min(workers, 2)]
+                assert started == [used]
                 # each parent of the split level in exactly one of the
                 # strided shares, whose sizes differ by at most one
                 parents = enumeration._grow([((0,), ())], 1, split, n, c)
                 assert len(parents) == levels[split - 1]
-                k = _SHARES * workers
+                k = _SHARES * used
                 (shares,) = dealt
                 assert [len(s) for s in shares] == [len(range(i, len(parents), k)) for i in range(k)]
                 assert sorted(pair for share in shares for pair in share) == sorted(parents)
