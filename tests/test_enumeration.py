@@ -327,9 +327,10 @@ def test_last_look_ahead_closed_form_equals_candidates(n, c):
     # It must agree with trying every neighbour set through _candidates on
     # every one-vertex-deleted subgraph of a target graph that passes the
     # prefix test, the vertex deletable as the enumerator reads it (so the
-    # subgraph of a connected target is connected). The closed form stays because the generic walk costs
-    # more: on cubic-connected n=12 it raised the profiled calls from 1.20M
-    # to 1.57M and the _spans calls from 11,638 to 27,320.
+    # subgraph of a connected target is connected). The closed form stays
+    # because the generic walk costs more: on cubic-connected n=12 it raised
+    # the profiled calls from 1.20M to 1.57M and the _spans calls from
+    # 11,638 to 27,320.
     answers = set()
     for g in enumerate_graphs(n, c):
         for v in range(n):
@@ -509,14 +510,14 @@ class TestOutputProperties:
 
     # Parents at each order below n. Cubic-connected n=8 never has more
     # than 18, so it stays serial; in the others the split falls at
-    # different orders, or not at all, as the number of workers grows
-    # (8 usable CPUs, so no workers value tried here is capped)
-    # (with _SPLIT = 16, subcubic-connected n=9 at 4 workers meets the
-    # threshold exactly: 64 parents at order 7). A level of order n - 1 is
-    # shared out only from _LAST_SPLIT parents: any-degree n=6 at 2 workers
-    # (34 at order 5) starts no pool, subcubic-connected n=9 at 7 (194 at
-    # order 8) does. The two-level look-ahead leaves cubic-connected n=10
-    # 28 parents at order 8, so it splits at 2 and 3 workers only.
+    # different orders, or not at all, as the number of workers grows; with
+    # 8 usable CPUs no workers value tried here is capped. With _SPLIT = 16,
+    # subcubic-connected n=9 at 4 workers meets the threshold exactly (64
+    # parents at order 7). A level of order n - 1 is shared out only from
+    # _LAST_SPLIT parents: any-degree n=6 at 2 workers (34 at order 5)
+    # starts no pool, subcubic-connected n=9 at 7 (194 at order 8) does.
+    # The two-level look-ahead leaves cubic-connected n=10 28 parents at
+    # order 8, so it splits at 2 and 3 workers only.
     @pytest.mark.parametrize(
         "n,c,levels",
         [
