@@ -10,10 +10,10 @@ and every report matches its golden. Standard error gets one
 one run to the next but for its total line.
 
 On a 2-core machine with Python 3.11 the 30 cells, checks included, took
-9.2-11.7 s at 1 worker and 6.7-7.7 s at 2 (3 runs each; the host's speed
-swings by up to 2x). T23 n=12 is over half of it (5.1 s at 1 worker and
-3.8 s at 2, mostly enumeration); T4 n=8 takes 1.2-2.2 s, enumeration
-included, and T1 k=3 n=12 0.25-0.3 s.
+7.0-9.9 s at 1 worker and 5.7-6.7 s at 2 (3 runs each; the host's speed
+swings by up to 2x). T23 n=12 is over half of it (3.8-5.5 s at 1 worker
+and 3.1-3.6 s at 2, mostly enumeration); T4 n=8 takes 0.7-1.2 s,
+enumeration included, and T1 k=3 n=12 0.2-0.45 s.
 --workers splits each large enumeration once across processes; it is
 capped at the CPUs this process may use.
 """

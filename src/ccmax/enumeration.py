@@ -30,6 +30,13 @@ edges to wait for a later one, and prune prefixes that cannot complete to a
 k-regular graph; every induced subgraph of a k-regular graph passes that
 test, so no target graph loses its chain of canonical parents.
 
+Below order n every child is labelled, as its canonical masks and
+generators serve its own children. At order n a child is labelled only when
+m ties with some deletable vertex or the caller asks for canonical labels.
+A caller that reads only invariants of each class (count and the
+verifiers) gets a child in which m alone has minimal (f, h) with the
+numbering it was built with.
+
 Three rejections and one look-ahead come before the expensive step. Each
 drops only children that a later test drops anyway, so the classes and
 their order do not change:
@@ -66,8 +73,9 @@ and the pool's workers take them one at a time and grow each to order n,
 so a worker that drew cheap parents takes more shares. A level of order
 n - 1 is shared out only when it is large, since a small one costs less to
 grow in process than a pool costs to start and stop. As every class has
-one parent, the classes do not depend on the split; they are sorted once
-by canonical graph6.
+one parent, the classes do not depend on the split; canonically labelled,
+they are sorted once by canonical graph6, and unlabelled they come in the
+order the shares are grown.
 """
 
 from __future__ import annotations
@@ -354,13 +362,25 @@ def _has_child(masks: Sequence[int], n: int, c: DegreeConstraint) -> bool:
 
 
 def _children(
-    parent: tuple[int, ...], gens: tuple, m: int, n: int, c: DegreeConstraint
+    parent: tuple[int, ...],
+    gens: tuple,
+    m: int,
+    n: int,
+    c: DegreeConstraint,
+    canonical: bool = True,
 ) -> list[tuple[tuple[int, ...], tuple]]:
     # (canonical masks, generators) of the admissible children of an order-m
     # canonical parent with generators gens that pass the orbit test, one
     # per class (module docstring); children of order n keep no generators.
+    # Without canonical, a child of order n with no ties is kept with the
+    # masks it was built with: m alone has minimal (f, h), so it passes the
+    # orbit test without a labelling.
     out = []
+    last = m + 1 == n
     for masks, ties in _candidates(parent, gens, m, n, c):
+        if last and not canonical and not ties:
+            out.append((tuple(masks), ()))
+            continue
         canon = _canon_masks(masks)
         # The canonical deletion vertex is the highest canonical position
         # among m and its ties; the child is kept iff m lies in its orbit.
@@ -368,15 +388,19 @@ def _children(
         top = max((pos[u] for u in ties), default=-1)
         if top > pos[m] and top not in _orbit(canon.gens, pos[m], getitem):
             continue
-        out.append((tuple(canon), canon.gens if m + 1 < n else ()))
+        out.append((tuple(canon), () if last else canon.gens))
     return out
 
 
-def _grow(level: list, m: int, stop: int, n: int, c: DegreeConstraint) -> list:
+def _grow(
+    level: list, m: int, stop: int, n: int, c: DegreeConstraint, canonical: bool = True
+) -> list:
     # order-m (masks, generators) parents to their order-stop descendants,
     # a level at a time
     for m in range(m, stop):
-        level = [child for masks, gens in level for child in _children(masks, gens, m, n, c)]
+        level = [
+            child for masks, gens in level for child in _children(masks, gens, m, n, c, canonical)
+        ]
     return level
 
 
@@ -422,8 +446,9 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _level(n: int, c: DegreeConstraint, workers: int) -> list:
-    # the order-n level of (masks, ()) pairs, in no particular order
+def _level(n: int, c: DegreeConstraint, workers: int, canonical: bool) -> list:
+    # the order-n level of (masks, ()) pairs, in no particular order; the
+    # masks are canonical only with canonical
     _need_int("n", n, 1)
     _need_int("workers", workers, 1)
     # at most one process per CPU, and the split reads the same number
@@ -441,29 +466,40 @@ def _level(n: int, c: DegreeConstraint, workers: int) -> list:
         or len(level) < _SPLIT * workers
         or (m == n - 1 and len(level) < _LAST_SPLIT)
     ):
-        level = _grow(level, m, m + 1, n, c)
+        level = _grow(level, m, m + 1, n, c, canonical)
         m += 1
     if m < n:
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             k = _SHARES * workers
             shares = [level[i::k] for i in range(k)]
-            grown = pool.map(_grow, shares, repeat(m), repeat(n), repeat(n), repeat(c))
+            grown = pool.map(
+                _grow, shares, repeat(m), repeat(n), repeat(n), repeat(c), repeat(canonical)
+            )
             level = [pair for share in grown for pair in share]
     return level
 
 
 def enumerate_graphs(
-    n: int, c: DegreeConstraint, workers: int = 1
+    n: int, c: DegreeConstraint, workers: int = 1, *, canonical: bool = True
 ) -> list[Graph]:
-    """All graphs of order n satisfying c, one per isomorphism class, in
-    ascending canonical-graph6 order. workers is capped at the CPUs this
-    process may use; the output does not depend on it."""
+    """All graphs of order n satisfying c, one per isomorphism class.
+
+    By default each graph is canonically labelled and the list is in
+    ascending canonical-graph6 order. With canonical=False a graph whose
+    last vertex was kept without a labelling keeps the numbering it was
+    built with, and the list is in enumeration order, which may change
+    with workers; use this when only class invariants are read, and
+    canonical_form for the graphs reported. workers is capped at the CPUs
+    this process may use; the default output does not depend on it."""
     # Construction meets c: children of connected targets get an edge, only
     # vertices below the bound gain one, and at order n the regular prefix
     # test leaves every degree at the bound.
-    return sorted((Graph(n, masks) for masks, _ in _level(n, c, workers)), key=to_graph6)
+    graphs = [Graph(n, masks) for masks, _ in _level(n, c, workers, canonical)]
+    return sorted(graphs, key=to_graph6) if canonical else graphs
 
 
 def count(n: int, c: DegreeConstraint, workers: int = 1) -> int:
-    """Number of isomorphism classes of order-n graphs satisfying c."""
-    return len(_level(n, c, workers))
+    """Number of isomorphism classes of order-n graphs satisfying c. As
+    with enumerate_graphs(canonical=False), a graph of order n is labelled
+    only where the orbit test needs its labelling."""
+    return len(_level(n, c, workers, False))

@@ -4,6 +4,10 @@ Each verifier enumerates the full isomorphism-class universe for its
 hypothesis, computes exact clustering values, and compares the maximum and
 the set of equality cases against the closed-form prediction. Reports are
 pure values: rerunning a verifier reproduces the report byte for byte.
+
+The verdicts read only invariants of each class, so the enumerations are
+asked for one graph per class in any labelling (canonical=False), and only
+the graphs a report names are labelled canonically, once each.
 """
 
 from __future__ import annotations
@@ -26,7 +30,15 @@ from .clustering import (
 from .enumeration import DegreeConstraint, enumerate_graphs
 from .generators import caveman, caveman_rewired, complete_bipartite, g_kl
 from .graphs import (
-    Graph, _edges_in, _is_int, _need_int, _non_edges, canonical_form, canonical_graph, to_graph6
+    Graph,
+    _canon_masks,
+    _edges_in,
+    _is_int,
+    _need_int,
+    _non_edges,
+    canonical_form,
+    canonical_graph,
+    to_graph6,
 )
 from .structure import claim_checks, is_in_b, is_in_b_literal, s_set
 
@@ -90,10 +102,10 @@ def _jsonify(value):
 
 def _scan(pairs, bound: Fraction):
     """The maximum over a stream of (value, key) pairs (0 when it is empty),
-    the sorted keys that attain it, the sorted keys whose value equals
-    bound, and the number of pairs. A key starts with the index of the graph
-    it names in an enumeration, which lists graphs in canonical graph6 order,
-    so keys sort as the graph6 strings would."""
+    the keys that attain it, the keys whose value equals bound, and the
+    number of pairs; keys come in stream order. A key starts with the index
+    of the graph it names in an enumeration, whose order is not graph6
+    order, so callers sort what they report by canonical graph6."""
     best = None
     argmax: list = []
     equality: list = []
@@ -107,7 +119,7 @@ def _scan(pairs, bound: Fraction):
         if value == bound:
             equality.append(key)
     best = Fraction(0) if best is None else best
-    return best, sorted(argmax), sorted(equality), count
+    return best, argmax, equality, count
 
 
 def _report(
@@ -139,15 +151,23 @@ def _added_edges(graphs: list[Graph], lcm: int):
             yield value, (i, (u, v))
 
 
-def _verify_cc(theorem_id, parameters, bound, graphs, predicted, details) -> TheoremReport:
-    """The verdict on C over graphs, an enumeration: the maximum stays at or
-    below bound and the graphs at the bound, as canonical graph6, are
-    exactly predicted. details gains the equality graphs and the claim
-    checks of each maximizer."""
+def _verify_cc(
+    theorem_id, parameters, bound, graphs, predicted, details, g6=None
+) -> TheoremReport:
+    """The verdict on C over graphs, one per class in any labelling: the
+    maximum stays at or below bound and the graphs at the bound, as
+    canonical graph6, are exactly predicted. g6 maps the indices of graphs
+    already labelled to their canonical graph6; the other maximizers and
+    equality graphs are labelled here, once each. details gains the
+    equality graphs and the claim checks of each maximizer, both in
+    canonical graph6 order."""
     values = ((graph_cc(g), i) for i, g in enumerate(graphs))
     max_found, argmax, equality, _ = _scan(values, bound)
-    g6 = {i: to_graph6(graphs[i]) for i in {*argmax, *equality}}
-    equality = [g6[i] for i in equality]
+    g6 = {} if g6 is None else g6
+    for i in {*argmax, *equality} - g6.keys():
+        g6[i] = canonical_form(graphs[i]).g6
+    argmax.sort(key=g6.get)
+    equality = sorted(g6[i] for i in equality)
     details["equality_graphs"] = equality
     details["maximizer_claims"] = {g6[i]: claim_checks(graphs[i]) for i in argmax}
     extremal = [g6[i] for i in argmax]
@@ -168,7 +188,9 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
         raise ValueError(f"need an int n >= k + 2, got n={n!r}")
     if n * k % 2:
         raise ValueError(f"need n*k even (no {k}-regular graph has odd order), got n={n}")
-    graphs = enumerate_graphs(n, DegreeConstraint.regular(k, connected=True), workers)
+    graphs = enumerate_graphs(
+        n, DegreeConstraint.regular(k, connected=True), workers, canonical=False
+    )
     predicted = [canonical_form(g_kl(k, n // (k + 1))).g6] if n % (k + 1) == 0 else []
     details = {"predicted_extremal": predicted}
     return _verify_cc("T1", {"k": k, "n": n}, theorem1_bound(k), graphs, predicted, details)
@@ -190,21 +212,26 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     equality cases must be exactly the order-n members of the family B.
     """
     _need_int("n", n, 6)
-    graphs = enumerate_graphs(n, DegreeConstraint.max_degree(3, connected=True), workers)
+    graphs = enumerate_graphs(
+        n, DegreeConstraint.max_degree(3, connected=True), workers, canonical=False
+    )
     # B is literal B with S empty, so a graph past the triangle gate is
     # decomposed once: by is_in_b if S is empty, else by is_in_b_literal
-    literal = []  # (graph6, in B) of the literal-B members
-    for g in graphs:
+    g6 = {}  # index: canonical graph6 of the literal-B members
+    b_members = []
+    for i, g in enumerate(graphs):
         if _cycles_are_triangles(g):
             s_empty = not s_set(g)
             if is_in_b(g) if s_empty else is_in_b_literal(g):
-                literal.append((to_graph6(g), s_empty))
-    b_members = sorted(s for s, in_b in literal if in_b)
+                g6[i] = canonical_form(g).g6
+                if s_empty:
+                    b_members.append(g6[i])
+    b_members.sort()
     details = {
         "b_members": b_members,
-        "b_members_literal_type_reading": sorted(s for s, _ in literal),
+        "b_members_literal_type_reading": sorted(g6.values()),
     }
-    return _verify_cc("T3", {"n": n}, theorem2_bound(n), graphs, b_members, details)
+    return _verify_cc("T3", {"n": n}, theorem2_bound(n), graphs, b_members, details, g6)
 
 
 def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
@@ -219,7 +246,9 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     """
     _need_int("n", n, 3)
     bound = theorem4_bound(n)
-    graphs = enumerate_graphs(n, DegreeConstraint.any_degree(connected=False), workers)
+    graphs = enumerate_graphs(
+        n, DegreeConstraint.any_degree(connected=False), workers, canonical=False
+    )
     # integers over the common denominator n * lcm, and the bound over it
     lcm = _binomial_lcm(n)
     top, argmax, equality, pairs_examined = _scan(_added_edges(graphs, lcm), bound * n * lcm)
@@ -233,7 +262,8 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
             )
     rep = canonical_graph(complete_bipartite(2, n - 2))
     k2_rep = to_graph6(rep)
-    if rep not in graphs:
+    degrees = rep.degree_sequence()
+    if not any(g.degree_sequence() == degrees and canonical_graph(g) == rep for g in graphs):
         raise ValueError(
             f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
         )
@@ -242,9 +272,23 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
         for u, v in _non_edges(rep._masks)
         if rep.degree(u) == n - 2 and rep.degree(v) == n - 2
     ]
-    g6 = {i: to_graph6(graphs[i]) for i, _ in argmax + equality}
-    argmax = [(g6[i], uv) for i, uv in argmax]
-    equality = [(g6[i], uv) for i, uv in equality]
+    # each reported graph is labelled once; its pairs move to canonical
+    # positions and are listed in (graph6, pair) order
+    label = {}
+    for i, _ in argmax + equality:
+        if i not in label:
+            canon = _canon_masks(graphs[i]._masks)
+            label[i] = to_graph6(Graph(n, canon)), canon.pos
+
+    def canonical_pairs(pairs):
+        out = []
+        for i, uv in pairs:
+            s, pos = label[i]
+            out.append((s, tuple(sorted(pos[u] for u in uv))))
+        return sorted(out)
+
+    argmax = canonical_pairs(argmax)
+    equality = canonical_pairs(equality)
     details = {
         "pairs_examined": pairs_examined,
         "max_pairs": argmax,

@@ -438,6 +438,57 @@ def test_canonical_call_counts(monkeypatch, n, c, calls):
     assert len(made) == calls
 
 
+@pytest.mark.parametrize(
+    "n,c,calls",
+    [
+        (12, DegreeConstraint.regular(3, connected=True), 1488),
+        (10, DegreeConstraint.regular(4, connected=True), 680),
+        (10, DegreeConstraint.max_degree(3, connected=True), 2215),
+    ],
+    ids=["cubic-connected-12", "quartic-connected-10", "subcubic-connected-10"],
+)
+def test_unlabelled_call_counts(monkeypatch, n, c, calls):
+    # The same enumerations as test_canonical_call_counts with
+    # canonical=False: an order-n child whose new vertex ties with no
+    # deletable vertex is kept without a labelling.
+    made = []
+    monkeypatch.setattr(enumeration, "_canon_masks", lambda m: made.append(1) or _canon_masks(m))
+    enumerate_graphs(n, c, canonical=False)
+    assert len(made) == calls
+
+
+UNLABELLED_CASES = [
+    (7, DegreeConstraint.any_degree()),
+    (7, DegreeConstraint.any_degree(connected=True)),
+    (9, DegreeConstraint.max_degree(3, connected=True)),
+    (10, DegreeConstraint.regular(3, connected=True)),
+    (10, DegreeConstraint.regular(4, connected=True)),
+]
+UNLABELLED_IDS = [
+    "any-7", "connected-7", "subcubic-connected-9", "cubic-connected-10", "quartic-connected-10"
+]
+
+
+@pytest.mark.parametrize("pooled", [False, True], ids=["in-process", "pooled"])
+@pytest.mark.parametrize("n,c", UNLABELLED_CASES, ids=UNLABELLED_IDS)
+def test_unlabelled_classes_equal_default(monkeypatch, n, c, pooled):
+    # With canonical=False every class still comes out once, some of them
+    # not canonically labelled; sorted by canonical graph6 they are the
+    # default output. Pooled, each case splits at 2 workers, so the grown
+    # graphs come back through the pool's map, which must carry the flag.
+    want = [to_graph6(g) for g in enumerate_graphs(n, c)]
+    workers = 1
+    if pooled:
+        started, _ = fake_pool(monkeypatch, 2)
+        workers = 2
+    got = enumerate_graphs(n, c, workers, canonical=False)
+    labels = [canonical_form(g).g6 for g in got]
+    assert sorted(labels) == want
+    assert any(to_graph6(g) != s for g, s in zip(got, labels))
+    if pooled:
+        assert started == [2]
+
+
 class TestOutputProperties:
     def test_sorted_and_distinct(self):
         out = [to_graph6(g) for g in enumerate_graphs(6, DegreeConstraint.any_degree())]

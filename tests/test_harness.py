@@ -104,7 +104,7 @@ class TestTheorem23:
             verify_theorem23(6.0)
 
     def test_empty_universe(self, monkeypatch):
-        monkeypatch.setattr(harness, "enumerate_graphs", lambda n, c, workers: [])
+        monkeypatch.setattr(harness, "enumerate_graphs", lambda n, c, workers, canonical=True: [])
         r = verify_theorem23(6)
         assert r.graphs_examined == 0 and r.extremal_graphs == ()
         assert r.max_found == 0 and not r.attained
@@ -186,8 +186,11 @@ class TestTheorem4:
         rep = canonical_form(complete_bipartite(2, 3)).g6
         real = harness.enumerate_graphs
 
-        def without_rep(n, c, workers):
-            return [g for g in real(n, c, workers) if to_graph6(g) != rep]
+        # the verifier asks for graphs in any labelling, so K_{2,3} is
+        # recognised by its canonical form, not by its own graph6
+        def without_rep(n, c, workers, canonical=True):
+            graphs = real(n, c, workers, canonical=canonical)
+            return [g for g in graphs if canonical_form(g).g6 != rep]
 
         monkeypatch.setattr(harness, "enumerate_graphs", without_rep)
         with pytest.raises(ValueError, match=r"K_\{2,3\}.*" + re.escape(rep)):
