@@ -7,7 +7,7 @@ pure values: rerunning a verifier reproduces the report byte for byte.
 
 The verdicts read only invariants of each class, so the enumerations are
 asked for one graph per class in any labelling (canonical=False), and only
-the graphs a report names are labelled canonically, once each.
+the graphs a report names are labelled canonically, each once, by _label.
 """
 
 from __future__ import annotations
@@ -48,11 +48,11 @@ class TheoremReport:
     """Outcome of one verification run.
 
     bound / max_found are exact; extremal_graphs is the argmax set as
-    canonical graph6 (the enumerators emit canonically labeled graphs).
-    attained means max_found equals the bound; characterization_ok means
-    the equality cases match the predicted extremal set exactly. For the
-    caveman comparison, bound holds the baseline value, max_found the
-    rewired value, and characterization_ok the strict increase.
+    canonical graph6. attained means max_found equals the bound;
+    characterization_ok means the equality cases match the predicted
+    extremal set exactly. For the caveman comparison, bound holds the
+    baseline value, max_found the rewired value, and characterization_ok
+    the strict increase.
     """
 
     theorem_id: str
@@ -103,9 +103,10 @@ def _jsonify(value):
 def _scan(pairs, bound: Fraction):
     """The maximum over a stream of (value, key) pairs (0 when it is empty),
     the keys that attain it, the keys whose value equals bound, and the
-    number of pairs; keys come in stream order. A key starts with the index
-    of the graph it names in an enumeration, whose order is not graph6
-    order, so callers sort what they report by canonical graph6."""
+    number of pairs; keys come in stream order. A key is (index, vertices):
+    a graph of an enumeration, whose order is not graph6 order, and a vertex
+    tuple in its numbering, which _named turns into sorted (canonical
+    graph6, canonical vertices)."""
     best = None
     argmax: list = []
     equality: list = []
@@ -144,35 +145,39 @@ def _report(
     )
 
 
-def _added_edges(graphs: list[Graph], lcm: int):
-    # (n * lcm * delta, (index, (u, v))) for every graph and non-adjacent pair
-    for i, g in enumerate(graphs):
-        for value, u, v in _scaled_deltas(g._masks, lcm):
-            yield value, (i, (u, v))
+def _label(graphs: list[Graph], labels: dict, i: int) -> tuple[str, list[int]]:
+    # (canonical graph6, canonical positions) of graphs[i], from one
+    # canonical search per index and labels dict
+    if i not in labels:
+        canon = _canon_masks(graphs[i]._masks)
+        labels[i] = to_graph6(Graph(len(canon), canon)), canon.pos
+    return labels[i]
 
 
-def _verify_cc(
-    theorem_id, parameters, bound, graphs, predicted, details, g6=None
-) -> TheoremReport:
+def _named(graphs: list[Graph], labels: dict, keys) -> list:
+    # scan keys (index, vertices) as sorted (graph6, canonical vertices)
+    out = []
+    for i, vertices in keys:
+        g6, pos = _label(graphs, labels, i)
+        out.append((g6, tuple(sorted(pos[v] for v in vertices))))
+    return sorted(out)
+
+
+def _verify_cc(theorem_id, parameters, bound, graphs, labels, predicted, details) -> TheoremReport:
     """The verdict on C over graphs, one per class in any labelling: the
     maximum stays at or below bound and the graphs at the bound, as
-    canonical graph6, are exactly predicted. g6 maps the indices of graphs
-    already labelled to their canonical graph6; the other maximizers and
-    equality graphs are labelled here, once each. details gains the
-    equality graphs and the claim checks of each maximizer, both in
-    canonical graph6 order."""
-    values = ((graph_cc(g), i) for i, g in enumerate(graphs))
+    canonical graph6, are exactly predicted. Each graph a report names is
+    labelled by _label, once per labels dict, which T23 has already filled
+    with its literal-B members. details gains the equality graphs and the
+    claim checks of each maximizer, both in canonical graph6 order."""
+    values = ((graph_cc(g), (i, ())) for i, g in enumerate(graphs))
     max_found, argmax, equality, _ = _scan(values, bound)
-    g6 = {} if g6 is None else g6
-    for i in {*argmax, *equality} - g6.keys():
-        g6[i] = canonical_form(graphs[i]).g6
-    argmax.sort(key=g6.get)
-    equality = sorted(g6[i] for i in equality)
+    equality = [g6 for g6, _ in _named(graphs, labels, equality)]
+    claims = {_label(graphs, labels, i)[0]: claim_checks(graphs[i]) for i, _ in argmax}
     details["equality_graphs"] = equality
-    details["maximizer_claims"] = {g6[i]: claim_checks(graphs[i]) for i in argmax}
-    extremal = [g6[i] for i in argmax]
+    details["maximizer_claims"] = dict(sorted(claims.items()))
     return _report(
-        theorem_id, parameters, bound, max_found, extremal, equality, predicted, len(graphs), details
+        theorem_id, parameters, bound, max_found, claims, equality, predicted, len(graphs), details
     )
 
 
@@ -193,7 +198,7 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     )
     predicted = [canonical_form(g_kl(k, n // (k + 1))).g6] if n % (k + 1) == 0 else []
     details = {"predicted_extremal": predicted}
-    return _verify_cc("T1", {"k": k, "n": n}, theorem1_bound(k), graphs, predicted, details)
+    return _verify_cc("T1", {"k": k, "n": n}, theorem1_bound(k), graphs, {}, predicted, details)
 
 
 def _cycles_are_triangles(g: Graph) -> bool:
@@ -216,22 +221,23 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
         n, DegreeConstraint.max_degree(3, connected=True), workers, canonical=False
     )
     # B is literal B with S empty, so a graph past the triangle gate is
-    # decomposed once: by is_in_b if S is empty, else by is_in_b_literal
-    g6 = {}  # index: canonical graph6 of the literal-B members
+    # decomposed once: by is_in_b if S is empty, else by is_in_b_literal.
+    # labels then holds exactly the literal-B members.
+    labels = {}
     b_members = []
     for i, g in enumerate(graphs):
         if _cycles_are_triangles(g):
             s_empty = not s_set(g)
             if is_in_b(g) if s_empty else is_in_b_literal(g):
-                g6[i] = canonical_form(g).g6
+                g6 = _label(graphs, labels, i)[0]
                 if s_empty:
-                    b_members.append(g6[i])
+                    b_members.append(g6)
     b_members.sort()
     details = {
         "b_members": b_members,
-        "b_members_literal_type_reading": sorted(g6.values()),
+        "b_members_literal_type_reading": sorted(g6 for g6, _ in labels.values()),
     }
-    return _verify_cc("T3", {"n": n}, theorem2_bound(n), graphs, b_members, details, g6)
+    return _verify_cc("T3", {"n": n}, theorem2_bound(n), graphs, labels, b_members, details)
 
 
 def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
@@ -251,7 +257,9 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     )
     # integers over the common denominator n * lcm, and the bound over it
     lcm = _binomial_lcm(n)
-    top, argmax, equality, pairs_examined = _scan(_added_edges(graphs, lcm), bound * n * lcm)
+    deltas = ((value, (i, (u, v))) for i, g in enumerate(graphs)
+              for value, u, v in _scaled_deltas(g._masks, lcm))
+    top, argmax, equality, pairs_examined = _scan(deltas, bound * n * lcm)
     max_found = Fraction(top, n * lcm)
     for i, (u, v) in argmax:
         exact = edge_add_delta(graphs[i], u, v)
@@ -260,10 +268,16 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
                 f"integer delta {max_found} disagrees with edge_add_delta {exact} "
                 f"at {to_graph6(graphs[i])} {(u, v)}"
             )
+    # each reported graph, and each graph the K_{2,n-2} check reads, is
+    # labelled once; pairs move to canonical positions, in (graph6, pair) order
+    labels = {}
+    argmax = _named(graphs, labels, argmax)
+    equality = _named(graphs, labels, equality)
     rep = canonical_graph(complete_bipartite(2, n - 2))
     k2_rep = to_graph6(rep)
     degrees = rep.degree_sequence()
-    if not any(g.degree_sequence() == degrees and canonical_graph(g) == rep for g in graphs):
+    same = (i for i, g in enumerate(graphs) if g.degree_sequence() == degrees)
+    if k2_rep not in (_label(graphs, labels, i)[0] for i in same):
         raise ValueError(
             f"the order-{n} enumeration lacks K_{{2,{n - 2}}} (canonical graph6 {k2_rep})"
         )
@@ -272,23 +286,6 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
         for u, v in _non_edges(rep._masks)
         if rep.degree(u) == n - 2 and rep.degree(v) == n - 2
     ]
-    # each reported graph is labelled once; its pairs move to canonical
-    # positions and are listed in (graph6, pair) order
-    label = {}
-    for i, _ in argmax + equality:
-        if i not in label:
-            canon = _canon_masks(graphs[i]._masks)
-            label[i] = to_graph6(Graph(n, canon)), canon.pos
-
-    def canonical_pairs(pairs):
-        out = []
-        for i, uv in pairs:
-            s, pos = label[i]
-            out.append((s, tuple(sorted(pos[u] for u in uv))))
-        return sorted(out)
-
-    argmax = canonical_pairs(argmax)
-    equality = canonical_pairs(equality)
     details = {
         "pairs_examined": pairs_examined,
         "max_pairs": argmax,

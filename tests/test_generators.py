@@ -258,6 +258,22 @@ class TestFamilyB:
         with pytest.raises(ValueError):
             family_b(sk)
 
+    @pytest.mark.parametrize(
+        "n, inner, match",
+        [
+            (1, (), "at least 2 vertices"),
+            (3, (0, 1), "only contain internal vertices"),
+            (3, (1, 5), "out-of-range"),
+        ],
+        ids=["one-vertex-tree", "inner-mark-on-leaf", "inner-mark-out-of-range"],
+    )
+    def test_bad_skeleton_rejected(self, n, inner, match):
+        path = from_edges(n, [(v, v + 1) for v in range(n - 1)])
+        leaves = {v: "triangle" for v in range(n) if path.degree(v) == 1}
+        sk = BSkeleton(tree=path, leaf_marks=leaves, inner_marks=frozenset(inner))
+        with pytest.raises(ValueError, match=match):
+            family_b(sk)
+
     def test_all_types_all_k(self):
         for t in ALL_TYPES:
             for k in range(3):
@@ -300,6 +316,8 @@ class TestFamilyBOrder:
             family_b_order((0, 0, 0), 1.0)
         with pytest.raises(ValueError, match="int k"):
             standard_skeleton((0, 0, 0), True)
+        with pytest.raises(ValueError, match="no standard skeleton"):
+            standard_skeleton((0, 4, 0), 0)
 
 
 class TestSkeletonFromDict:

@@ -68,6 +68,16 @@ class TestFromEdges:
         assert h.without_edge(0, 1).m == 1
         with pytest.raises(ValueError):
             g.without_edge(1, 2)
+        with pytest.raises(ValueError, match="self-loop at vertex 1"):
+            g.with_edge(1, 1)
+
+    def test_equality_hash_repr(self):
+        g = from_edges(3, [(0, 1)])
+        h = from_edges(3, [(1, 0)])
+        assert g == h and hash(g) == hash(h)
+        assert g != from_edges(4, [(0, 1)])
+        assert g != g._masks and g.__eq__("Bo") is NotImplemented
+        assert repr(g) == "Graph(n=3, m=1)"
 
 
 class TestEdgesWithin:
@@ -193,6 +203,9 @@ class TestCanonicalForm:
         a = from_edges(3, [(0, 1), (1, 2)])
         b = from_edges(3, [(1, 0), (0, 2)])
         assert canonical_form(a) == canonical_form(b)
+
+    def test_str_is_graph6(self):
+        assert str(canonical_form(K3)) == canonical_form(K3).g6 == "Bw"
 
     def test_distinguishes_nonisomorphic(self):
         assert canonical_form(K3) != canonical_form(from_edges(3, [(0, 1), (1, 2)]))

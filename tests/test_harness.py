@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import ccmax.graphs as graphs
 import ccmax.harness as harness
 import ccmax.structure as structure
 from ccmax import (
@@ -296,3 +297,41 @@ def test_failing_verdict(monkeypatch, name, replacement, verify, characterizatio
     r = verify()
     assert r.passed is False
     assert r.characterization_ok is characterization_ok
+
+
+@pytest.mark.parametrize(
+    "verify, generated",
+    [
+        (lambda: verify_theorem1(3, 8), 1),
+        (lambda: verify_theorem23(9), 0),
+        (lambda: verify_theorem4(6), 1),
+    ],
+    ids=["T1-G(3,2)", "T23", "T4-K_{2,4}"],
+)
+def test_each_enumerated_graph_labelled_once(monkeypatch, verify, generated):
+    # canonical_form, canonical_graph and _canon_masks all run one search,
+    # _canonical_masks. Once the enumeration has returned, each search is
+    # for a distinct enumerated graph, known by its masks object, or for a
+    # generated graph: G(3, 2) in T1, the K_{2,4} representative in T4.
+    index = {}
+    real_enumerate = harness.enumerate_graphs
+
+    def enumerate_then_count(*args, **kwargs):
+        out = real_enumerate(*args, **kwargs)
+        index.update((id(g._masks), i) for i, g in enumerate(out))
+        return out
+
+    searched = []
+    real_search = graphs._canonical_masks
+
+    def search(masks):
+        if index:
+            searched.append(index.get(id(masks)))
+        return real_search(masks)
+
+    monkeypatch.setattr(harness, "enumerate_graphs", enumerate_then_count)
+    monkeypatch.setattr(graphs, "_canonical_masks", search)
+    r = verify()
+    labelled = [i for i in searched if i is not None]
+    assert len(searched) - generated == len(labelled) == len(set(labelled))
+    assert len(labelled) >= len(r.extremal_graphs) > 0

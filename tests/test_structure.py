@@ -61,6 +61,10 @@ class TestBlocks:
         dec = blocks(from_edges(1, []))
         assert dec.blocks == () and not dec.cut_vertices
 
+    def test_empty_graph(self):
+        dec = blocks(from_edges(0, []))
+        assert dec.blocks == () and not dec.cut_vertices
+
     def test_disconnected_rejected(self):
         with pytest.raises(ValueError):
             blocks(from_edges(4, [(0, 1), (2, 3)]))
