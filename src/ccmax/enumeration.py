@@ -11,8 +11,10 @@ non-cut vertices for connected targets (deleting one leaves a connected
 graph, so connected graphs are reached through connected intermediates) and
 all of its vertices otherwise. Among them the canonical deletion vertex has
 minimal f(v) = (degree, sum of neighbour degrees), then minimal h(v) = (size
-of the distance-2 ball, triangles at v), then the highest position in the
-canonical labelling. A child is kept only when m lies in the orbit of that
+of the distance-2 ball, triangles at v, edge ends inside the distance-2
+ball, size of the distance-3 ball), then the highest position in the
+canonical labelling. The finer h is, the fewer children tie with m and
+reach a labelling. A child is kept only when m lies in the orbit of that
 vertex under the child's automorphism group:
 
 - a child in which some deletable vertex has a smaller (f, h) than m is
@@ -221,19 +223,35 @@ def _deletable(masks: Sequence[int], v: int, connected: bool) -> bool:
 
 
 def _h(masks: Sequence[int], v: int) -> int:
-    # h(v) = (size of the distance-2 ball, triangles at v), packed as f is;
-    # the walk sees each edge among the neighbours from both ends
+    # h(v) = (|B2(v)|, triangles at v, edge ends inside B2(v), |B3(v)|),
+    # Br(v) the vertices within distance r of v, packed as f is (each field
+    # is at most 380 at order 20). The first walk, over the neighbours, sees
+    # each edge among them from both ends and every edge end of a vertex in
+    # N[v], all inside B2(v); the second walks the rest of B2(v).
     nbrs = masks[v]
-    ball = nbrs | 1 << v
+    near = nbrs | 1 << v
+    ball = near
     tri = 0
+    ends = nbrs.bit_count()
     rest = nbrs
     while rest:
         low = rest & -rest
         x = masks[low.bit_length() - 1]
         ball |= x
         tri += (x & nbrs).bit_count()
+        ends += x.bit_count()
         rest ^= low
-    return ball.bit_count() << _F_SHIFT | tri >> 1
+    far = ball
+    rest = ball ^ near
+    while rest:
+        low = rest & -rest
+        x = masks[low.bit_length() - 1]
+        ends += (x & ball).bit_count()
+        far |= x
+        rest ^= low
+    return (
+        (ball.bit_count() << _F_SHIFT | tri >> 1) << _F_SHIFT | ends
+    ) << _F_SHIFT | far.bit_count()
 
 
 def _least_deletable(parent: Sequence[int], degs: Sequence[int], connected: bool) -> tuple[int, int]:

@@ -269,9 +269,10 @@ def parse_graph6(line: str) -> Graph:
 # an implementation may change only how fast the maximum is found, and
 # tests/test_canon_reference.py holds it to a frozen reference. After
 # refinement, a discrete partition (orders 0 and 1 included) is the
-# labelling; otherwise one depth-first branch and bound over all positions,
-# with twin skipping, finds the maximum, singletons first with one
-# candidate each. Works well through n = 20; enforced by CANONICAL_MAX_N.
+# labelling; otherwise the singleton classes, which come first and have one
+# candidate each, are placed, and one depth-first branch and bound over the
+# remaining positions, with twin skipping, finds the maximum. Works well
+# through n = 20; enforced by CANONICAL_MAX_N.
 #
 # How the maximum is found. The search meets automorphisms: a leaf whose
 # string equals the best one, and each twin it skips. It always collects
@@ -286,10 +287,12 @@ def parse_graph6(line: str) -> Graph:
 # - start order: a one-colour partition (a regular graph) is searched from
 #   the vertices with the most triangles, then the most pairs of common
 #   neighbours, since the best string tends to start there;
-# - root orbit pruning: a start vertex in the orbit of a tried one under the
-#   automorphisms collected so far only repeats that one's subtree under a
-#   known automorphism, so it is skipped. Only position 0 may do this: deeper
-#   down, those automorphisms need not fix the vertices already placed.
+# - root orbit pruning: the search starts at the first position after the
+#   singletons, which every automorphism fixes. A vertex there in the orbit
+#   of a tried one under the automorphisms collected so far only repeats
+#   that one's subtree under a known automorphism, so it is skipped. Only
+#   that position may do this: deeper down, those automorphisms need not
+#   fix the vertices already placed.
 # A different optimal leaf may be found, so the enumerator (_canon_masks)
 # may see other canonical positions, but the same masks and the same group.
 
@@ -355,10 +358,7 @@ def _refine_classes(nbrs: Sequence[Sequence[int]]) -> list[list[int]]:
             parts: dict[int, list[int]] = {}
             for v in cls:
                 key = sum(map(weight.__getitem__, nbrs[v]))
-                if key in parts:
-                    parts[key].append(v)
-                else:
-                    parts[key] = [v]
+                parts.setdefault(key, []).append(v)
             if len(parts) == 1:
                 split.append(cls)
             else:
@@ -443,6 +443,18 @@ def _canonical_perm(
     placed: list[int] = []
     best: list[int] = []
     best_perm: list[int] = []
+    # The singleton classes fill the first positions (classes are sorted by
+    # size, and some class has two vertices), and each has one candidate:
+    # they are placed before the search.
+    start = 0
+    while len(classes[start]) == 1:
+        v = classes[start][0]
+        cur[start] = rcol[v]
+        placed.append(v)
+        bit = 1 << (_COL_SHIFT - start)
+        for w in nbrs[v]:
+            rcol[w] += bit
+        start += 1
 
     def dfs(j: int, tight: bool) -> bool:
         # tight: the columns placed so far equal best's; only then can a
@@ -475,9 +487,10 @@ def _canonical_perm(
             if tight and col < best[j]:
                 break
             # A start vertex in the orbit of a tried one, under the
-            # automorphisms found so far, only repeats that one's subtree.
-            # Deeper down they need not fix the placed vertices.
-            if j == 0 and found and not _orbit(found, v, getitem).isdisjoint(tried):
+            # automorphisms found so far, only repeats that one's subtree:
+            # they fix every singleton placed before it. Deeper down they
+            # need not fix the placed vertices.
+            if j == start and found and not _orbit(found, v, getitem).isdisjoint(tried):
                 continue
             mv = masks[v]
             bv = 1 << v
@@ -510,7 +523,7 @@ def _canonical_perm(
             cls.append(v)
         return updated
 
-    dfs(0, False)
+    dfs(start, False)
     return best_perm, found
 
 

@@ -2,6 +2,7 @@
 
 import concurrent.futures
 import os
+import random
 from itertools import combinations
 
 import enum_reference
@@ -22,8 +23,10 @@ from ccmax import (
     to_graph6,
 )
 import ccmax.enumeration as enumeration
-from ccmax.enumeration import _LAST_SPLIT, _SHARES, _SPLIT, _deletable
-from ccmax.graphs import _canon_masks, _spans
+from ccmax.enumeration import _F_SHIFT, _LAST_SPLIT, _SHARES, _SPLIT, _deletable
+from ccmax.graphs import CANONICAL_MAX_N, _canon_masks, _spans, triangles_at
+
+from conftest import graphs, random_cubic, relabel
 
 # OEIS A000088 (graphs), A002851 (connected cubic graphs) and A006820
 # (connected 4-regular graphs)
@@ -176,6 +179,91 @@ def test_deletable_is_non_cut():
             assert _deletable(masks, v, True) == (v not in cuts)
             assert _deletable(masks, v, False)
     assert _spans((), 0)
+
+
+def vertex_fields(g, v):
+    """f(v) = (degree, sum of neighbour degrees) and h(v) = (|B2(v)|,
+    triangles at v, edge ends inside B2(v), |B3(v)|) as tuples, Br(v) the
+    vertices within distance r of v, from breadth-first distances."""
+    dist = {v: 0}
+    frontier = [v]
+    while frontier:
+        reached = []
+        for u in frontier:
+            for w in g.neighbors(u):
+                if w not in dist:
+                    dist[w] = dist[u] + 1
+                    reached.append(w)
+        frontier = reached
+    ball = {w for w, d in dist.items() if d <= 2}
+    f = (g.degree(v), sum(g.degree(w) for w in g.neighbors(v)))
+    ends = sum(len(ball.intersection(g.neighbors(w))) for w in ball)
+    h = (len(ball), triangles_at(g, v), ends, sum(d <= 3 for d in dist.values()))
+    return f, h
+
+
+def packed(fields):
+    """fields as one integer, _F_SHIFT bits each, the first the highest."""
+    out = 0
+    for x in fields:
+        out = out << _F_SHIFT | x
+    return out
+
+
+def check_vertex_invariants(g, perm):
+    # _invariants and _h give each vertex its packed (f, h) fields, and a
+    # relabelling moves them with the vertex
+    moved = relabel(g, perm)
+    got = {}
+    for graph in (g, moved):
+        masks = graph._masks
+        degs = [x.bit_count() for x in masks]
+        got[graph] = list(zip(
+            enumeration._invariants(masks, degs), [enumeration._h(masks, v) for v in range(g.n)]
+        ))
+        for v in range(g.n):
+            assert got[graph][v] == tuple(map(packed, vertex_fields(graph, v)))
+    assert all(got[moved][perm[v]] == got[g][v] for v in range(g.n))
+
+
+@settings(max_examples=150, deadline=None)
+@given(graphs(max_n=9), st.randoms(use_true_random=False))
+def test_vertex_invariants_move_with_a_relabelling(g, rnd):
+    perm = list(range(g.n))
+    rnd.shuffle(perm)
+    check_vertex_invariants(g, perm)
+
+
+def test_vertex_invariants_move_with_a_relabelling_at_order_20():
+    rng = random.Random(2020)
+    for p in (0.1, 0.2, 0.5, 0.9):
+        g = from_edges(20, [e for e in combinations(range(20), 2) if rng.random() < p])
+        perm = list(range(20))
+        rng.shuffle(perm)
+        check_vertex_invariants(g, perm)
+
+
+@pytest.mark.parametrize(
+    "g",
+    [
+        from_edges(CANONICAL_MAX_N, combinations(range(CANONICAL_MAX_N), 2)),
+        random_cubic(random.Random(3), CANONICAL_MAX_N),
+    ],
+    ids=["K20", "cubic-20"],
+)
+def test_packed_fields_do_not_carry_at_the_canonical_cap(g):
+    # No field of f or h at order CANONICAL_MAX_N exceeds its value on the
+    # complete graph, and those values (edge ends in B2(v) the largest, at
+    # 20 * 19) stay below 1 << _F_SHIFT: no packed field carries into the
+    # next, so integer order is tuple order.
+    n = CANONICAL_MAX_N
+    top = (n - 1, (n - 1) ** 2, n, (n - 1) * (n - 2) // 2, n * (n - 1), n)
+    assert max(top) == 380 < 1 << _F_SHIFT
+    for v in range(n):
+        f, h = vertex_fields(g, v)
+        assert all(x <= t for x, t in zip(f + h, top))
+        assert (f + h == top) == (g.m == n * (n - 1) // 2)
+    check_vertex_invariants(g, list(reversed(range(n))))
 
 
 def test_rejected_tie_costs_no_second_canon_call(monkeypatch):
@@ -357,7 +445,7 @@ def grown(n, c):
 
 @pytest.mark.parametrize(
     "k,n,unpruned,kept",
-    [(3, 10, 117, 28), (3, 12, 941, 157), (4, 10, 481, 91)],
+    [(3, 10, 117, 21), (3, 12, 941, 97), (4, 10, 481, 88)],
     ids=["cubic-connected-10", "cubic-connected-12", "quartic-connected-10"],
 )
 def test_two_level_look_ahead_drops_only_dead_prefixes(monkeypatch, k, n, unpruned, kept):
@@ -422,10 +510,10 @@ def test_levels_are_plain_pairs(n, c):
 @pytest.mark.parametrize(
     "n,c,calls",
     [
-        # 2,428 with only the last-vertex look-ahead, 2,910 with neither
-        (12, DegreeConstraint.regular(3, connected=True), 1493),
-        (10, DegreeConstraint.regular(4, connected=True), 690),  # 1,100 with only the last
-        (10, DegreeConstraint.max_degree(3, connected=True), 3153),
+        # 2,037 with only the last-vertex look-ahead, 2,476 with neither
+        (12, DegreeConstraint.regular(3, connected=True), 1148),
+        (10, DegreeConstraint.regular(4, connected=True), 676),  # 1,075 with only the last
+        (10, DegreeConstraint.max_degree(3, connected=True), 2710),
     ],
     ids=["cubic-connected-12", "quartic-connected-10", "subcubic-connected-10"],
 )
@@ -441,9 +529,9 @@ def test_canonical_call_counts(monkeypatch, n, c, calls):
 @pytest.mark.parametrize(
     "n,c,calls",
     [
-        (12, DegreeConstraint.regular(3, connected=True), 1488),
-        (10, DegreeConstraint.regular(4, connected=True), 680),
-        (10, DegreeConstraint.max_degree(3, connected=True), 2215),
+        (12, DegreeConstraint.regular(3, connected=True), 1132),
+        (10, DegreeConstraint.regular(4, connected=True), 666),
+        (10, DegreeConstraint.max_degree(3, connected=True), 1574),
     ],
     ids=["cubic-connected-12", "quartic-connected-10", "subcubic-connected-10"],
 )
