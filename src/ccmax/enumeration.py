@@ -229,8 +229,7 @@ def _h(masks: Sequence[int], v: int) -> int:
     # each edge among them from both ends and every edge end of a vertex in
     # N[v], all inside B2(v); the second walks the rest of B2(v).
     nbrs = masks[v]
-    near = nbrs | 1 << v
-    ball = near
+    ball = near = nbrs | 1 << v
     tri = 0
     ends = nbrs.bit_count()
     rest = nbrs
