@@ -269,10 +269,10 @@ def parse_graph6(line: str) -> Graph:
 # an implementation may change only how fast the maximum is found, and
 # tests/test_canon_reference.py holds it to a frozen reference. After
 # refinement, a discrete partition (orders 0 and 1 included) is the
-# labelling; otherwise the singleton classes, which come first and have one
-# candidate each, are placed, and one depth-first branch and bound over the
-# remaining positions, with twin skipping, finds the maximum. Works well
-# through n = 20; enforced by CANONICAL_MAX_N.
+# labelling; otherwise one depth-first branch and bound over the positions,
+# with twin skipping, finds the maximum, and it places a singleton class, a
+# class with one candidate, like any other. Works well through n = 20;
+# enforced by CANONICAL_MAX_N.
 #
 # How the maximum is found. The search meets automorphisms: a leaf whose
 # string equals the best one, and each twin it skips. It always collects
@@ -287,12 +287,12 @@ def parse_graph6(line: str) -> Graph:
 # - start order: a one-colour partition (a regular graph) is searched from
 #   the vertices with the most triangles, then the most pairs of common
 #   neighbours, since the best string tends to start there;
-# - root orbit pruning: the search starts at the first position after the
-#   singletons, which every automorphism fixes. A vertex there in the orbit
-#   of a tried one under the automorphisms collected so far only repeats
-#   that one's subtree under a known automorphism, so it is skipped. Only
-#   that position may do this: deeper down, those automorphisms need not
-#   fix the vertices already placed.
+# - root orbit pruning: at the first position after the singleton classes,
+#   whose vertices every automorphism fixes, a vertex in the orbit of a
+#   tried one under the automorphisms collected so far only repeats that
+#   one's subtree under a known automorphism, so it is skipped. Only that
+#   position may do this: deeper down, those automorphisms need not fix the
+#   vertices already placed.
 # A different optimal leaf may be found, so the enumerator (_canon_masks)
 # may see other canonical positions, but the same masks and the same group.
 
@@ -444,16 +444,10 @@ def _canonical_perm(
     best: list[int] = []
     best_perm: list[int] = []
     # The singleton classes fill the first positions (classes are sorted by
-    # size, and some class has two vertices), and each has one candidate:
-    # they are placed before the search.
+    # size, and some class has two vertices); start is the first position
+    # after them.
     start = 0
     while len(classes[start]) == 1:
-        v = classes[start][0]
-        cur[start] = rcol[v]
-        placed.append(v)
-        bit = 1 << (_COL_SHIFT - start)
-        for w in nbrs[v]:
-            rcol[w] += bit
         start += 1
 
     def dfs(j: int, tight: bool) -> bool:
@@ -523,19 +517,22 @@ def _canonical_perm(
             cls.append(v)
         return updated
 
-    dfs(start, False)
+    dfs(0, False)
     return best_perm, found
 
 
-def _canonical_masks(masks: Sequence[int]) -> tuple[tuple[int, ...], list[int], list[list[int]]]:
-    """Adjacency masks of the canonically labelled copy, pos (pos[v] is the
-    canonical position of vertex v), and the search's automorphisms."""
+def _canonical_masks(
+    masks: Sequence[int],
+) -> tuple[tuple[int, ...], list[int], list[int], list[list[int]]]:
+    """Adjacency masks of the canonically labelled copy, perm (perm[p] is the
+    vertex at canonical position p), pos (pos[v] is the canonical position of
+    vertex v), and the search's automorphisms."""
     nbrs = _neighbor_lists(masks)
     perm, found = _canonical_perm(masks, nbrs)
     pos = [0] * len(perm)
     for p, v in enumerate(perm):
         pos[v] = p
-    return tuple([_image(pos, masks[v]) for v in perm]), pos, found
+    return tuple([_image(pos, masks[v]) for v in perm]), perm, pos, found
 
 
 def canonical_graph(g: Graph) -> Graph:
@@ -563,11 +560,10 @@ def _canon_masks(masks: Sequence[int]) -> _Canon:
     # Kept apart from canonical_graph, whose search collects automorphisms
     # only to prune start vertices and reports none, so that the two count
     # as separate calls when perfbench traces them.
-    out, pos, found = _canonical_masks(masks)
+    out, perm, pos, found = _canonical_masks(masks)
     canon = _Canon(out)
     # an automorphism a of the input moves position p, held by vertex
     # perm[p], to pos[a[perm[p]]]
-    perm = sorted(range(len(pos)), key=pos.__getitem__) if found else []
     canon.gens = tuple(dict.fromkeys([tuple([pos[a[v]] for v in perm]) for a in found]))
     canon.pos = pos
     return canon

@@ -17,7 +17,7 @@ from ccmax import (
     to_graph6,
     triangles_at,
 )
-from ccmax.graphs import _canon_masks
+from ccmax.graphs import _canon_masks, _canonical_perm, _neighbor_lists
 
 from conftest import brute_isomorphic, brute_triangle_triples, graphs, relabel
 
@@ -248,3 +248,21 @@ class TestCanonicalForm:
         g = named("diamond")
         h = canonical_graph(g)
         assert canonical_graph(h) == h
+
+    @pytest.mark.parametrize(
+        "g",
+        [
+            # a hub (a leading singleton class) plus C19: pruning at position 1
+            from_edges(20, [(0, i) for i in range(1, 20)] + [(i, i % 19 + 1) for i in range(1, 20)]),
+            # one class: pruning at position 0
+            named("cycle(20)"),
+        ],
+        ids=["wheel-20", "cycle-20"],
+    )
+    def test_root_orbit_pruning(self, g):
+        # Root orbit pruning skips every start vertex in the orbit of a tried
+        # one, so a vertex-transitive rim is searched from one start vertex
+        # and few automorphisms are collected; without it, or at the wrong
+        # position, the search collects over 30.
+        _, found = _canonical_perm(g._masks, _neighbor_lists(g._masks))
+        assert len(found) <= 3
