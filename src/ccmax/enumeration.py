@@ -2,20 +2,21 @@
 constraints, by canonical augmentation (McKay, "Isomorph-free exhaustive
 generation", J. Algorithms 26 (1998) 306-324).
 
-Graphs are grown one vertex at a time. A child of an order-m canonical
-parent P attaches the new vertex m to an admissible neighbour set, and only
-one neighbour set per orbit of Aut(P) is tried: the canonical search
-reports generators of each graph's automorphism group (graphs._canon_masks),
-and the orbits are closed over them. A child's deletable vertices are its
-non-cut vertices for connected targets (deleting one leaves a connected
-graph, so connected graphs are reached through connected intermediates) and
-all of its vertices otherwise. Among them the canonical deletion vertex has
-minimal f(v) = (degree, sum of neighbour degrees), then minimal h(v) = (size
-of the distance-2 ball, triangles at v, edge ends inside the distance-2
-ball, size of the distance-3 ball), then the highest position in the
-canonical labelling. The finer h is, the fewer children tie with m and
-reach a labelling. A child is kept only when m lies in the orbit of that
-vertex under the child's automorphism group:
+Graphs are grown one vertex at a time. A child of an order-m parent P
+attaches the new vertex m to an admissible neighbour set, and only one
+neighbour set per orbit of Aut(P) is tried: each level entry carries
+generators of its graph's automorphism group, from the canonical search
+(graphs._canon_masks) or from its parent's (below), and the orbits are
+closed over them. A child's deletable vertices are its non-cut vertices for
+connected targets (deleting one leaves a connected graph, so connected
+graphs are reached through connected intermediates) and all of its
+vertices otherwise. Among them the canonical deletion vertex has minimal
+f(v) = (degree, sum of neighbour degrees), then minimal h(v) = (size of the
+distance-2 ball, triangles at v, edge ends inside the distance-2 ball, size
+of the distance-3 ball), then the highest position in the canonical
+labelling. The finer h is, the fewer children tie with m and reach a
+labelling. A child is kept only when m lies in the orbit of that vertex
+under the child's automorphism group:
 
 - a child in which some deletable vertex has a smaller (f, h) than m is
   dropped without a canonical labelling;
@@ -32,12 +33,20 @@ edges to wait for a later one, and prune prefixes that cannot complete to a
 k-regular graph; every induced subgraph of a k-regular graph passes that
 test, so no target graph loses its chain of canonical parents.
 
-Below order n every child is labelled, as its canonical masks and
-generators serve its own children. At order n a child is labelled only when
-m ties with some deletable vertex or the caller asks for canonical labels.
-A caller that reads only invariants of each class (count and the
-verifiers) gets a child in which m alone has minimal (f, h) with the
-numbering it was built with.
+A child is labelled only when m ties with some deletable vertex, or at
+order n when the caller asks for canonical labels. Any other child keeps
+the numbering it was built with: nothing downstream needs a canonical
+parent, as the tests before a labelling read only the graph and the orbits
+are closed in the parent's own numbering. Below order n such a child gets
+its generators from its parent's, with no labelling (_stabiliser). They are
+exact: deletability, f and h are invariants, so every automorphism of the
+child fixes m, the one deletable vertex with the least (f, h), and
+restricts to an automorphism of P that maps S = N(m) onto itself; each such
+automorphism of P, extended by m -> m, is one of the child. So Aut(child)
+is the setwise stabiliser of S in Aut(P), and Schreier's lemma gives
+generators of it from generators of Aut(P). A caller that reads only
+invariants of each class (count and the verifiers) gets the order-n
+children with no ties in their built numbering as well.
 
 Three rejections and one look-ahead come before the expensive step. Each
 drops only children that a later test drops anyway, so the classes and
@@ -379,6 +388,35 @@ def _has_child(masks: Sequence[int], n: int, c: DegreeConstraint) -> bool:
     return not any(_h(full, u) < h_last and _deletable(full, u, c.connected) for u in range(m))
 
 
+def _stabiliser(gens: tuple, s: int, m: int) -> tuple:
+    # Generators of the stabiliser of the vertex set s in the group that
+    # gens generate (permutations of 0..m-1), each extended to fix m.
+    # Schreier's lemma: with rep[t] a product of generators that moves s to
+    # t, one for each t in the orbit of s, found breadth first, the
+    # permutations rep[g(t)]^-1 g rep[t] fix s and generate its stabiliser.
+    # Those of tree edges are the identity; the others are kept once each.
+    ident = tuple(range(m))
+    rep = {s: ident}
+    out = {}
+    todo = [s]
+    for t in todo:
+        r = rep[t]
+        for g in gens:
+            gr = [g[x] for x in r]
+            u = _image(g, t)
+            if u not in rep:
+                rep[u] = gr
+                todo.append(u)
+                continue
+            inv = [0] * m
+            for x, y in enumerate(rep[u]):
+                inv[y] = x
+            a = tuple([inv[y] for y in gr])
+            if a != ident:
+                out[a + (m,)] = None
+    return tuple(out)
+
+
 def _children(
     parent: tuple[int, ...],
     gens: tuple,
@@ -387,17 +425,18 @@ def _children(
     c: DegreeConstraint,
     canonical: bool = True,
 ) -> list[tuple[tuple[int, ...], tuple]]:
-    # (canonical masks, generators) of the admissible children of an order-m
-    # canonical parent with generators gens that pass the orbit test, one
-    # per class (module docstring); children of order n keep no generators.
-    # Without canonical, a child of order n with no ties is kept with the
-    # masks it was built with: m alone has minimal (f, h), so it passes the
-    # orbit test without a labelling.
+    # (masks, generators) of the admissible children of an order-m parent
+    # with generators gens that pass the orbit test, one per class (module
+    # docstring); children of order n keep no generators. A child with no
+    # ties passes the orbit test without a labelling, as m alone has
+    # minimal (f, h); it keeps the masks it was built with, and below order
+    # n its generators come from gens by _stabiliser. At order n only
+    # canonical asks for its labelling.
     out = []
     last = m + 1 == n
     for masks, ties in _candidates(parent, gens, m, n, c):
-        if last and not canonical and not ties:
-            out.append((tuple(masks), ()))
+        if not ties and not (last and canonical):
+            out.append((tuple(masks), () if last else _stabiliser(gens, masks[m], m)))
             continue
         canon = _canon_masks(masks)
         # The canonical deletion vertex is the highest canonical position

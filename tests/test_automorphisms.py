@@ -6,7 +6,9 @@ canonical positions that should generate the whole automorphism group of the
 canonical copy, and `pos`, the canonical position of each input vertex. The
 enumerator tries one neighbour set per orbit of a parent's group and keeps a
 child by McKay's orbit test, so a missing generator would double classes and
-a wrong one would lose them.
+a wrong one would lose them. A kept child that gets no labelling takes its
+generators from its parent's by enumeration._stabiliser, so those are
+checked too.
 """
 
 import random
@@ -15,7 +17,8 @@ from math import comb, factorial
 
 import pytest
 
-from ccmax import DegreeConstraint, enumerate_graphs, from_edges
+from ccmax import DegreeConstraint, enumerate_graphs, enumeration, from_edges
+from ccmax.enumeration import _stabiliser
 from ccmax.graphs import _canon_masks
 
 from conftest import hard_set, relabel
@@ -119,3 +122,52 @@ def test_labelled_count_identity(connected):
         for g in enumerate_graphs(n, DegreeConstraint.any_degree(connected)):
             labelled += factorial(n) // len(generated_group(_canon_masks(g._masks).gens, n))
         assert labelled == (connected_labelled(n) if connected else 2 ** comb(n, 2)), n
+
+
+def test_stabiliser_is_the_setwise_stabiliser():
+    # The Schreier generators generate exactly the elements of the whole
+    # group that map S to itself, each extended to fix the new vertex n.
+    rng = random.Random(26)
+    for _ in range(60):
+        n = rng.randint(1, 8)
+        p = rng.choice((0.0, 0.2, 0.5, 0.8))
+        pairs = list(combinations(range(n), 2))
+        canon = _canon_masks(from_edges(n, [e for e in pairs if rng.random() < p])._masks)
+        s = rng.getrandbits(n)
+        got = _stabiliser(canon.gens, s, n)
+        assert all(type(a) is tuple and len(a) == n + 1 and a[n] == n for a in got)
+        want = {a + (n,) for a in generated_group(canon.gens, n) if image(a, s) == s}
+        assert generated_group(got, n + 1) == want
+    assert _stabiliser((), 0b101, 3) == ()
+
+
+LEVEL_CELLS = [
+    (7, DegreeConstraint.any_degree()),
+    (10, DegreeConstraint.max_degree(3, connected=True)),
+    (12, DegreeConstraint.regular(3, connected=True)),
+    (10, DegreeConstraint.regular(4, connected=True)),
+    (9, DegreeConstraint.max_degree(3)),
+]
+
+
+@pytest.mark.parametrize(
+    "n,c",
+    LEVEL_CELLS,
+    ids=["any-7", "subcubic-connected-10", "cubic-connected-12", "quartic-connected-10", "subcubic-9"],
+)
+def test_level_generators_generate_the_whole_group(n, c):
+    # Every entry below order n carries automorphisms of its masks that
+    # generate a group as large as its labelling's, whether they came from
+    # the labelling or from the parent's by _stabiliser; some entries keep
+    # the numbering they were built with, so the stabiliser is exercised.
+    level = [((0,), ())]
+    built = 0
+    for m in range(1, n - 1):
+        level = enumeration._grow(level, m, m + 1, n, c)
+        for masks, gens in level:
+            k = len(masks)
+            assert all(image(a, masks[v]) == masks[a[v]] for a in gens for v in range(k))
+            want = generated_group(_canon_masks(masks).gens, k)
+            assert len(generated_group(gens, k)) == len(want), masks
+            built += tuple(_canon_masks(masks)) != masks
+    assert built

@@ -510,10 +510,13 @@ def test_levels_are_plain_pairs(n, c):
 @pytest.mark.parametrize(
     "n,c,calls",
     [
-        # 2,037 with only the last-vertex look-ahead, 2,476 with neither
-        (12, DegreeConstraint.regular(3, connected=True), 1148),
-        (10, DegreeConstraint.regular(4, connected=True), 676),  # 1,075 with only the last
-        (10, DegreeConstraint.max_degree(3, connected=True), 2710),
+        # 1,148, 676 and 2,710 when every child below order n was labelled.
+        # Before that, the cubic cell made 2,037 with only the last-vertex
+        # look-ahead and 2,476 with neither, the quartic one 1,075 with only
+        # the last.
+        (12, DegreeConstraint.regular(3, connected=True), 536),
+        (10, DegreeConstraint.regular(4, connected=True), 334),
+        (10, DegreeConstraint.max_degree(3, connected=True), 2183),
     ],
     ids=["cubic-connected-12", "quartic-connected-10", "subcubic-connected-10"],
 )
@@ -529,9 +532,10 @@ def test_canonical_call_counts(monkeypatch, n, c, calls):
 @pytest.mark.parametrize(
     "n,c,calls",
     [
-        (12, DegreeConstraint.regular(3, connected=True), 1132),
-        (10, DegreeConstraint.regular(4, connected=True), 666),
-        (10, DegreeConstraint.max_degree(3, connected=True), 1574),
+        # 1,132, 666 and 1,574 when every child below order n was labelled
+        (12, DegreeConstraint.regular(3, connected=True), 520),
+        (10, DegreeConstraint.regular(4, connected=True), 324),
+        (10, DegreeConstraint.max_degree(3, connected=True), 1047),
     ],
     ids=["cubic-connected-12", "quartic-connected-10", "subcubic-connected-10"],
 )
