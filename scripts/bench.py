@@ -7,14 +7,18 @@
 The base revision is exported with `git archive` into a temporary directory.
 For each workload, base and working tree then run `perfbench/run.py --trace
 0` in alternating pairs (the side that runs first alternates from pair to
-pair), and one `perfbench/run.py --trace 1` each. The output file holds the
-machine, the Python version, both commits, every pair's end-to-end metrics
-and, per workload, the medians, the base's interquartile range, how many
-pairs the working tree won, and both sides' per-layer metrics.
+pair), and then three `perfbench/run.py --trace 1` passes each, alternated
+the same way, since one traced pass per side swings too much to attribute a
+change to a layer. The output file holds the machine, the Python version,
+both commits, every pair's end-to-end metrics and, per workload, the
+medians, the base's interquartile range, how many pairs the working tree
+won, every traced pass, and each side's per-layer medians over its passes.
 
-A failed or incorrect end-to-end run stops the benchmark at once. A failed
-traced run does not: its side's per-layer entry records the exit status and
-the last output lines, the file is still written, and the script exits 1.
+A failed, incorrect or timed-out end-to-end run stops the benchmark at once.
+A failed traced pass does not: the pass records the exit status (None after
+a timeout) and the last output lines, its side's per-layer entry holds the
+first such record in place of the medians, the file is still written, and
+the script exits 1.
 
 Runs are made one at a time, each in a fresh process that is waited for.
 Nothing under perfbench/ is edited; perfbench writes its inputs and span
@@ -38,6 +42,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("base", "head")
 TAIL_LINES = 20
+TRACED_PASSES = 3
 
 
 def git(*args: str) -> str:
@@ -68,17 +73,27 @@ class RunFailed(SystemExit):
         self.record = {"returncode": proc.returncode, "tail": tail}
 
 
+def _text(output) -> str:
+    # what a timed-out run had written: bytes, or None if nothing
+    return output.decode(errors="replace") if isinstance(output, bytes) else output or ""
+
+
 def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """Metrics of one perfbench run in tree, as {name: value}; raises
-    RunFailed when it fails or finds a wrong output."""
-    proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", str(trace)],
-        cwd=tree,
-        capture_output=True,
-        text=True,
-        timeout=max(600, 20 * seconds),
-    )
+    RunFailed when it fails, times out or finds a wrong output."""
+    try:
+        proc = subprocess.run(
+            [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", str(trace)],
+            cwd=tree,
+            capture_output=True,
+            text=True,
+            timeout=max(600, 20 * seconds),
+        )
+    except subprocess.TimeoutExpired as exc:
+        stderr = _text(exc.stderr) + f"timed out after {exc.timeout} s\n"
+        proc = subprocess.CompletedProcess(exc.cmd, None, _text(exc.stdout), stderr)
+        raise RunFailed(tree, workload, proc) from exc
     lines = proc.stdout.splitlines()
     result = json.loads(lines[-1]) if lines else {}
     if proc.returncode != 0 or not result.get("correct"):
@@ -123,6 +138,15 @@ def summarise(pairs: list[dict], declared: list[dict]) -> dict:
             "pairs": len(pairs),
         }
     return out
+
+
+def layer_medians(passes: list[dict]) -> dict:
+    """Each metric's median over one side's traced passes, or the first
+    failed pass's entry if any failed."""
+    for metrics in passes:
+        if "failed" in metrics:
+            return metrics
+    return {name: statistics.median(m[name] for m in passes) for name in passes[0]}
 
 
 def main(argv=None) -> int:
@@ -170,18 +194,21 @@ def main(argv=None) -> int:
                           f"norm_wall_s {pair[side]['norm_wall_s']:.3f} "
                           f"norm_cpu_s {pair[side]['norm_cpu_s']:.3f}", file=sys.stderr)
                 pairs.append(pair)
-            per_layer = {}
-            for side in SIDES:
-                try:
-                    per_layer[side] = perfbench(trees[side], workload, args.seed, args.seconds, 1)
-                except RunFailed as err:
-                    print(err.code, file=sys.stderr)
-                    per_layer[side] = {"failed": err.record}
-                    failed = True
+            traced = {side: [] for side in SIDES}
+            for i in range(TRACED_PASSES):
+                for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                    try:
+                        metrics = perfbench(trees[side], workload, args.seed, args.seconds, 1)
+                    except RunFailed as err:
+                        print(err.code, file=sys.stderr)
+                        metrics = {"failed": err.record}
+                        failed = True
+                    traced[side].append(metrics)
             report["workloads"][workload] = {
                 "pairs": pairs,
                 "summary": summarise(pairs, declared),
-                "per_layer": per_layer,
+                "traced": traced,
+                "per_layer": {side: layer_medians(traced[side]) for side in SIDES},
             }
     args.out.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     return 1 if failed else 0

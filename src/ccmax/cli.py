@@ -8,9 +8,10 @@ Exit code 0 on success (and verification pass), 1 on failure or bad input.
 from __future__ import annotations
 
 import argparse
+import fileinput
 import json
 import sys
-from typing import Iterator, TextIO
+from typing import Iterator
 
 from .clustering import decimal_str, edge_add_delta, graph_cc, local_cc
 from .enumeration import DegreeConstraint, count, enumerate_graphs
@@ -37,15 +38,9 @@ from .harness import (
 from .structure import _structure, s_set
 
 
-def _open_input(path: str | None) -> TextIO:
-    if path is None or path == "-":
-        return sys.stdin
-    return open(path, encoding="utf-8")
-
-
 def _read_graphs(path: str | None) -> Iterator[Graph]:
-    stream = _open_input(path)
-    try:
+    # FileInput reads sys.stdin for "-" and leaves it open
+    with fileinput.FileInput(("-" if path is None else path,), encoding="utf-8") as stream:
         for lineno, line in enumerate(stream, start=1):
             line = line.strip()
             if not line:
@@ -55,9 +50,6 @@ def _read_graphs(path: str | None) -> Iterator[Graph]:
             except Graph6ParseError as exc:
                 raise Graph6ParseError(f"line {lineno}: {exc}") from exc
             yield g
-    finally:
-        if stream is not sys.stdin:
-            stream.close()
 
 
 def _fmt(q) -> str:

@@ -57,9 +57,9 @@ their order do not change:
   One left out keeps degree d0, so a smaller f than the new vertex, and
   stays deletable (the new vertex has another neighbour), so the f test
   would drop the child;
-- for a regular target, the prefix test runs once per neighbour-set size,
-  not once per set: with the forced vertices in, every old vertex meets its
-  bound, and what is left depends on the size alone;
+- for a regular target, the prefix test (_regular_sizes) runs once per
+  neighbour-set size, not once per set: with the forced vertices in, every
+  old vertex meets its bound, and what is left depends on the size alone;
 - a child is dropped when some deletable vertex has a smaller (f, h) than
   the new vertex (the f and h tests above);
 - for a regular target of order n, a child of order n - 1 or n - 2 is
@@ -170,39 +170,23 @@ def _capability_limit(c: DegreeConstraint) -> int:
     return 8
 
 
-def _regular_prefix_ok(masks: Sequence[int], m: int, n: int, k: int) -> bool:
-    # necessary conditions for an order-m prefix to complete to k-regular
-    # order n: each vertex still needs def(u) = k - deg(u) in [0, n-m] more
-    # edges, all toward the n-m future vertices; the future side must absorb
-    # the total deficiency with matching parity and enough internal room.
-    rem = n - m
-    total = 0
-    for u in range(m):
-        d = k - masks[u].bit_count()
-        if d < 0 or d > rem:
-            return False
-        total += d
-    return _spare_ok(total, rem, k)
-
-
-def _spare_ok(total: int, rem: int, k: int) -> bool:
-    # the rem future vertices take `total` edges from the prefix; the rest
-    # of their rem * k edge ends must pair up among themselves
-    spare = rem * k - total
-    return spare >= 0 and spare % 2 == 0 and spare <= rem * (rem - 1)
-
-
 def _regular_sizes(degs: Sequence[int], n: int, k: int, sizes: range) -> list[int]:
     # The sizes in `sizes` for which a child of the order-m prefix of degrees
-    # degs passes _regular_prefix_ok when its new vertex's neighbour set holds
-    # every forced vertex. The parent passed the test, so a vertex lacks at
-    # most rem + 1 edges, and exactly that many if forced: with the forced
-    # vertices in, every old vertex meets its bound. What is left depends on
-    # the size alone: the new vertex lacks k - size edges, and the total
-    # deficiency changes by k - 2 * size.
+    # degs, its new vertex joined to every forced vertex, meets the necessary
+    # conditions to complete to a k-regular graph of order n. These are: each
+    # vertex still needs k - deg(u) in [0, n - m - 1] more edges, all toward
+    # the rem = n - m - 1 future vertices; and of the future side's rem * k
+    # edge ends, those the prefix does not take (spare) pair up among
+    # themselves, so spare is even and in [0, rem * (rem - 1)]. The parent
+    # met them, so a vertex lacks at most rem + 1 edges, and exactly that
+    # many if forced: with the forced vertices in, every old vertex meets its
+    # bound. What is left depends on the size alone: the new vertex lacks
+    # k - size edges, and spare grows by 2 * size. The first vertex is the
+    # one child of the empty prefix: degs [] and sizes range(1).
     rem = n - len(degs) - 1
-    total = sum(k - d for d in degs)
-    return [s for s in sizes if k - s <= rem and _spare_ok(total + k - 2 * s, rem, k)]
+    spare = rem * k - sum(k - d for d in degs) - k
+    room = rem * (rem - 1)
+    return [s for s in sizes if k - s <= rem and spare % 2 == 0 and 0 <= spare + 2 * s <= room]
 
 
 _F_SHIFT = 16
@@ -515,7 +499,7 @@ def _level(n: int, c: DegreeConstraint, workers: int, canonical: bool) -> list:
         raise CapabilityError(
             f"enumeration for {c.mode} is supported up to n = {limit}, got {n}"
         )
-    start = c.mode != MODE_REGULAR or _regular_prefix_ok((0,), 1, n, c.bound)
+    start = c.mode != MODE_REGULAR or _regular_sizes([], n, c.bound, range(1))
     level = [((0,), ())] if start else []
     m = 1
     while m < n and (

@@ -13,7 +13,7 @@ the graphs a report names are labelled canonically, each once, by _label.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable
 
@@ -34,7 +34,6 @@ from .graphs import (
     _canon_masks,
     _edges_in,
     _is_int,
-    _need_int,
     _non_edges,
     canonical_form,
     canonical_graph,
@@ -67,10 +66,10 @@ class TheoremReport:
     details: dict = field(default_factory=dict)
 
     def to_json_dict(self) -> dict:
-        return {f.name: _jsonify(getattr(self, f.name)) for f in fields(self)}
+        return json.loads(self.to_json())
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, sort_keys=True)
+        return json.dumps(vars(self), default=_exact, indent=2, sort_keys=True)
 
     def summary_lines(self) -> list[str]:
         params = ", ".join(f"{k}={v}" for k, v in self.parameters.items())
@@ -86,18 +85,15 @@ class TheoremReport:
         ]
 
 
-def _jsonify(value):
+def _exact(value) -> dict:
+    # json's hook for what it cannot encode itself: a Fraction, exactly
     if isinstance(value, Fraction):
         return {
             "num": str(value.numerator),
             "den": str(value.denominator),
             "decimal": decimal_str(value),
         }
-    if isinstance(value, dict):
-        return {str(k): _jsonify(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonify(v) for v in value]
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _scan(pairs, bound: Fraction):
@@ -188,7 +184,7 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     must stay at or below 1 - 6/(k(k+1)), with equality exactly when (k+1)
     divides n, and then only at G(k, n/(k+1)).
     """
-    _need_int("k", k, 3)
+    bound = theorem1_bound(k)
     if not _is_int(n) or n < k + 2:
         raise ValueError(f"need an int n >= k + 2, got n={n!r}")
     if n * k % 2:
@@ -198,7 +194,7 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     )
     predicted = [canonical_form(g_kl(k, n // (k + 1))).g6] if n % (k + 1) == 0 else []
     details = {"predicted_extremal": predicted}
-    return _verify_cc("T1", {"k": k, "n": n}, theorem1_bound(k), graphs, {}, predicted, details)
+    return _verify_cc("T1", {"k": k, "n": n}, bound, graphs, {}, predicted, details)
 
 
 def _cycles_are_triangles(g: Graph) -> bool:
@@ -216,7 +212,7 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     the maximum of C must stay at or below the order-n bound, and the
     equality cases must be exactly the order-n members of the family B.
     """
-    _need_int("n", n, 6)
+    bound = theorem2_bound(n)
     graphs = enumerate_graphs(
         n, DegreeConstraint.max_degree(3, connected=True), workers, canonical=False
     )
@@ -237,7 +233,7 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
         "b_members": b_members,
         "b_members_literal_type_reading": sorted(g6 for g6, _ in labels.values()),
     }
-    return _verify_cc("T3", {"n": n}, theorem2_bound(n), graphs, labels, b_members, details)
+    return _verify_cc("T3", {"n": n}, bound, graphs, labels, b_members, details)
 
 
 def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
@@ -250,7 +246,6 @@ def verify_theorem4(n: int, workers: int = 1) -> TheoremReport:
     pair is recomputed with edge_add_delta, and a disagreement raises
     RuntimeError.
     """
-    _need_int("n", n, 3)
     bound = theorem4_bound(n)
     graphs = enumerate_graphs(
         n, DegreeConstraint.any_degree(connected=False), workers, canonical=False

@@ -105,7 +105,7 @@ def test_a_failed_traced_run_keeps_the_pairs(bench, monkeypatch, tmp_path):
             "failed": {"returncode": 3, "tail": ["line 1", "Traceback", "TraceError: x"]}
         }
     # the failure stopped nothing: every run was made
-    assert len(runs) == 2 * (2 * 2 + 2)
+    assert len(runs) == 2 * (2 * 2 + 2 * 3)
 
 
 def test_a_failed_end_to_end_run_stops_the_comparison(bench, monkeypatch, tmp_path):
@@ -115,3 +115,66 @@ def test_a_failed_end_to_end_run_stops_the_comparison(bench, monkeypatch, tmp_pa
         bench.main(["--base", "x", "--workload", "w1", "--out", str(out)])
     assert not out.exists()
     assert runs == [("w1", "base", 0)]
+
+
+def test_traced_passes_alternate_and_are_all_kept(bench, monkeypatch, tmp_path):
+    runs = fake_runs(bench, monkeypatch, lambda side, trace: False)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--base", "x", "--workload", "w1", "--pairs", "1", "--out", str(out)]) == 0
+    traced = [side for _, side, trace in runs if trace == 1]
+    assert traced == ["base", "head", "head", "base", "base", "head"]
+    entry = json.loads(out.read_text())["workloads"]["w1"]
+    assert [len(entry["traced"][side]) for side in ("base", "head")] == [3, 3]
+    assert entry["per_layer"]["head"] == entry["traced"]["head"][0]
+
+
+def test_layer_medians(bench):
+    passes = [{"s": 1.0, "calls": 7}, {"s": 3.0, "calls": 7}, {"s": 2.0, "calls": 9}]
+    assert bench.layer_medians(passes) == {"s": 2.0, "calls": 7}
+    failed = {"failed": {"returncode": None, "tail": []}}
+    assert bench.layer_medians([passes[0], failed, passes[1]]) == failed
+
+
+def fake_subprocess(bench, monkeypatch, times_out):
+    """Replace git, the export and the perfbench process; `times_out(side,
+    trace)` says which runs time out, after writing one line."""
+    declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
+    result = {"correct": True, "metrics": {m["name"]: {"value": 1.0} for m in declared}}
+
+    def run(cmd, cwd, timeout, **kwargs):
+        side = "head" if cwd == bench.ROOT else "base"
+        if times_out(side, int(cmd[cmd.index("--trace") + 1])):
+            raise subprocess.TimeoutExpired(cmd, timeout, output=b"partial\n")
+        return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n", stderr="")
+
+    monkeypatch.setattr(bench.subprocess, "run", run)
+    monkeypatch.setattr(bench, "export", lambda rev, dest: None)
+    monkeypatch.setattr(bench, "git", lambda *args: "abc")
+
+
+TIMED_OUT = {"returncode": None, "tail": ["partial", "timed out after 600 s"]}
+
+
+def test_a_timed_out_run_is_a_failed_run(bench, monkeypatch):
+    fake_subprocess(bench, monkeypatch, lambda side, trace: True)
+    with pytest.raises(bench.RunFailed) as err:
+        bench.perfbench(Path("elsewhere"), "w1", 1, 1, 0)
+    assert err.value.record == TIMED_OUT
+
+
+def test_a_timed_out_traced_run_keeps_the_pairs(bench, monkeypatch, tmp_path):
+    fake_subprocess(bench, monkeypatch, lambda side, trace: side == "head" and trace == 1)
+    out = tmp_path / "bench.json"
+    assert bench.main(["--base", "x", "--workload", "w1", "--pairs", "2", "--out", str(out)]) == 1
+    entry = json.loads(out.read_text())["workloads"]["w1"]
+    assert len(entry["pairs"]) == 2
+    assert entry["per_layer"]["base"]["norm_wall_s"] == 1.0
+    assert entry["per_layer"]["head"] == {"failed": TIMED_OUT}
+
+
+def test_a_timed_out_end_to_end_run_stops_the_comparison(bench, monkeypatch, tmp_path):
+    fake_subprocess(bench, monkeypatch, lambda side, trace: side == "base" and trace == 0)
+    out = tmp_path / "bench.json"
+    with pytest.raises(bench.RunFailed):
+        bench.main(["--base", "x", "--workload", "w1", "--out", str(out)])
+    assert not out.exists()

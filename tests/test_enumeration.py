@@ -291,7 +291,7 @@ def regular_levels(k, n, connected):
     m = 1..n-1 of the k-regular order-n target, as the enumerator grows
     them."""
     c = DegreeConstraint.regular(k, connected)
-    level = [((0,), ())] if enumeration._regular_prefix_ok((0,), 1, n, k) else []
+    level = [((0,), ())] if enum_reference.regular_prefix_ok((0,), 1, n, k) else []
     for m in range(1, n):
         yield m, level
         level = enumeration._grow(level, m, m + 1, n, c)
@@ -309,8 +309,9 @@ def with_vertex(parent, subset):
 @pytest.mark.parametrize("k", [2, 3, 4])
 def test_regular_sizes_equal_prefix_test(k, connected):
     # Every neighbour set that holds the forced vertices (those short of
-    # more edges than the later vertices can give) passes _regular_prefix_ok
-    # exactly when its size is one _regular_sizes keeps.
+    # more edges than the later vertices can give) passes the frozen
+    # enum_reference.regular_prefix_ok exactly when its size is one
+    # _regular_sizes keeps.
     outcomes = []
     for n in range(k + 1, 11):
         for m, parents in regular_levels(k, n, connected):
@@ -322,10 +323,22 @@ def test_regular_sizes_equal_prefix_test(k, connected):
                 for size in range(len(forced), min(k, len(forced) + len(free)) + 1):
                     for rest in combinations(free, size - len(forced)):
                         child = with_vertex(parent, {*forced, *rest})
-                        ok = enumeration._regular_prefix_ok(child, m + 1, n, k)
+                        ok = enum_reference.regular_prefix_ok(child, m + 1, n, k)
                         assert (size in sizes) == ok, (n, parent, rest)
                         outcomes.append(ok)
     assert True in outcomes and False in outcomes
+
+
+def test_start_decision_equals_prefix_test():
+    # The first vertex is the one child of the empty prefix, so _level's
+    # start test is _regular_sizes over sizes range(1); it must agree with
+    # the frozen prefix test of the one-vertex prefix beyond the range of
+    # tests/test_enum_reference.py, n = 1 included.
+    for k in range(7):
+        for n in range(1, 21):
+            want = enum_reference.regular_prefix_ok((0,), 1, n, k)
+            assert bool(enumeration._regular_sizes([], n, k, range(1))) == want, (n, k)
+        assert count(1, DegreeConstraint.regular(k)) == (k == 0)
 
 
 @pytest.mark.parametrize(
@@ -428,7 +441,7 @@ def test_last_look_ahead_closed_form_equals_candidates(n, c):
             masks = [
                 sum(1 << i for i, w in enumerate(keep) if g._masks[u] >> w & 1) for u in keep
             ]
-            if not enumeration._regular_prefix_ok(masks, n - 1, n, c.bound):
+            if not enum_reference.regular_prefix_ok(masks, n - 1, n, c.bound):
                 continue
             want = any(enumeration._candidates(masks, (), n - 1, n, c))
             assert enumeration._has_child(masks, n, c) == want, (to_graph6(g), v)
@@ -439,7 +452,7 @@ def test_last_look_ahead_closed_form_equals_candidates(n, c):
 def grown(n, c):
     """The masks of the order-n level as the enumerator grows it serially,
     before the sort."""
-    level = [((0,), ())] if enumeration._regular_prefix_ok((0,), 1, n, c.bound) else []
+    level = [((0,), ())] if enum_reference.regular_prefix_ok((0,), 1, n, c.bound) else []
     return [masks for masks, _ in enumeration._grow(level, 1, n, n, c)]
 
 
