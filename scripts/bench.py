@@ -4,25 +4,32 @@
     python3 scripts/bench.py --base 7d4c465 --workload sweep_w2 --pairs 10 \\
         --seed 7 --seconds 20 --out BENCH_orbits.json
 
-The base revision is exported with `git archive` into a temporary directory.
-For each workload, base and working tree then run `perfbench/run.py --trace
-0` in alternating pairs (the side that runs first alternates from pair to
-pair), and then three `perfbench/run.py --trace 1` passes each, alternated
-the same way, since one traced pass per side swings too much to attribute a
-change to a layer. The output file holds the machine, the Python version,
-both commits, every pair's end-to-end metrics and, per workload, the
-medians, the base's interquartile range, how many pairs the working tree
-won, every traced pass, and each side's per-layer medians over its passes.
+Both sides are exported with `git archive` into one temporary directory: the
+base from its revision, the working tree from a git tree written through a
+scratch index (tracked edits and deletions, and untracked files that git
+does not ignore). So neither side runs in the repo itself, and neither
+starts with a `__pycache__`. For each workload, base and working tree then
+run `perfbench/run.py --trace 0` in alternating pairs (the side that runs
+first alternates from pair to pair), and then three `perfbench/run.py
+--trace 1` passes each, alternated the same way, since one traced pass per
+side swings too much to attribute a change to a layer. The output file
+holds the machine, the Python version, both commits, the working tree's git
+tree, every pair's end-to-end metrics and, per workload, the medians, the
+base's interquartile range, how many pairs the working tree won, every
+traced pass, and each side's per-layer medians over its passes.
 
-A failed, incorrect or timed-out end-to-end run stops the benchmark at once.
-A failed traced pass does not: the pass records the exit status (None after
+A failed, incorrect or timed-out end-to-end run, or one whose last output
+line is not perfbench's JSON result, stops the benchmark at once. A failed
+traced pass does not: the pass records the exit status (None after
 a timeout) and the last output lines, its side's per-layer entry holds the
 first such record in place of the medians, the file is still written, and
 the script exits 1.
 
 Runs are made one at a time, each in a fresh process that is waited for.
-Nothing under perfbench/ is edited; perfbench writes its inputs and span
-files to its own out/ directory, which git ignores.
+Nothing in the repo is written but the output file and git objects: the
+scratch index, and the perfbench/out/ directory where each side writes its
+inputs and span files, stay in the temporary directory, and the real index
+and every ref are left as they were.
 """
 
 from __future__ import annotations
@@ -45,10 +52,21 @@ TAIL_LINES = 20
 TRACED_PASSES = 3
 
 
-def git(*args: str) -> str:
+def git(*args: str, env: dict | None = None) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, check=True, capture_output=True, text=True
+        ["git", *args], cwd=ROOT, env=env, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def worktree(index: Path) -> str:
+    """The working tree as a git tree: HEAD's files with the tracked edits
+    and deletions and the untracked files that are not ignored. It goes
+    through the scratch index file `index`, so the real index and the refs
+    do not move. (`git stash create` would leave the untracked files out.)"""
+    env = {**os.environ, "GIT_INDEX_FILE": str(index)}
+    git("read-tree", "HEAD", env=env)
+    git("add", "-A", env=env)
+    return git("write-tree", env=env)
 
 
 def export(rev: str, dest: Path) -> None:
@@ -80,7 +98,8 @@ def _text(output) -> str:
 
 def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) -> dict:
     """Metrics of one perfbench run in tree, as {name: value}; raises
-    RunFailed when it fails, times out or finds a wrong output."""
+    RunFailed when it fails, times out, finds a wrong output or ends on a
+    line that is not its JSON result."""
     try:
         proc = subprocess.run(
             [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -94,8 +113,10 @@ def perfbench(tree: Path, workload: str, seed: int, seconds: int, trace: int) ->
         stderr = _text(exc.stderr) + f"timed out after {exc.timeout} s\n"
         proc = subprocess.CompletedProcess(exc.cmd, None, _text(exc.stdout), stderr)
         raise RunFailed(tree, workload, proc) from exc
-    lines = proc.stdout.splitlines()
-    result = json.loads(lines[-1]) if lines else {}
+    try:
+        result = json.loads(proc.stdout.splitlines()[-1])
+    except (IndexError, json.JSONDecodeError):
+        result = {}
     if proc.returncode != 0 or not result.get("correct"):
         raise RunFailed(tree, workload, proc)
     return {k: v["value"] for k, v in result["metrics"].items()}
@@ -162,27 +183,33 @@ def main(argv=None) -> int:
         ap.error("--pairs must be at least 1")
 
     declared = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))["end_to_end"]
-    report = {
-        "command": ["scripts/bench.py", *(argv if argv is not None else sys.argv[1:])],
-        "machine": {
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-            "nproc": os.cpu_count(),
-            # the enumerator caps its workers at this count
-            "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
-            "cpu_model": cpu_model(),
-        },
-        "python": platform.python_version(),
-        "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
-        "head": {"commit": git("rev-parse", "HEAD"), "uncommitted_changes": bool(git("status", "--porcelain"))},
-        "seed": args.seed,
-        "seconds": args.seconds,
-        "workloads": {},
-    }
     failed = False
     with tempfile.TemporaryDirectory(prefix="ccmax-bench-") as tmp:
-        trees = {"base": Path(tmp), "head": ROOT}
-        export(args.base, trees["base"])
+        revs = {"base": args.base, "head": worktree(Path(tmp, "index"))}
+        report = {
+            "command": ["scripts/bench.py", *(argv if argv is not None else sys.argv[1:])],
+            "machine": {
+                "platform": platform.platform(),
+                "machine": platform.machine(),
+                "nproc": os.cpu_count(),
+                # the enumerator caps its workers at this count
+                "usable_cpus": len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else None,
+                "cpu_model": cpu_model(),
+            },
+            "python": platform.python_version(),
+            "base": {"rev": args.base, "commit": git("rev-parse", args.base)},
+            "head": {
+                "commit": git("rev-parse", "HEAD"),
+                "tree": revs["head"],
+                "uncommitted_changes": revs["head"] != git("rev-parse", "HEAD^{tree}"),
+            },
+            "seed": args.seed,
+            "seconds": args.seconds,
+            "workloads": {},
+        }
+        trees = {side: Path(tmp, side) for side in SIDES}
+        for side in SIDES:
+            export(revs[side], trees[side])
         for workload in args.workload:
             pairs = []
             for i in range(args.pairs):

@@ -9,11 +9,11 @@ and every report matches its golden. Standard error gets one
 "<cell>: <seconds>s" line per cell, so standard output stays the same from
 one run to the next but for its total line.
 
-On a 2-core machine with Python 3.11 the 30 cells, checks included, took
-7.0-9.9 s at 1 worker and 5.7-6.7 s at 2 (3 runs each; the host's speed
-swings by up to 2x). T23 n=12 is over half of it (3.8-5.5 s at 1 worker
-and 3.1-3.6 s at 2, mostly enumeration); T4 n=8 takes 0.7-1.2 s,
-enumeration included, and T1 k=3 n=12 0.2-0.45 s.
+On a 2-core Intel Xeon host with Python 3.11 the 30 cells, checks
+included, took 4.0-5.2 s at 1 worker and 3.2-3.3 s at 2 (3 runs each; the
+host's speed swings by up to 2x). T23 n=12 is about half of it (2.1-2.9 s
+at 1 worker and 1.4-1.6 s at 2, mostly enumeration); T4 n=8 takes
+0.7-0.8 s, enumeration included, and T1 k=3 n=12 0.16-0.21 s.
 --workers splits each large enumeration once across processes; it is
 capped at the CPUs this process may use.
 """

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import fileinput
 import json
+import os
 import sys
 from typing import Iterator
 
@@ -211,6 +212,12 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except BrokenPipeError:
+        # the reader closed the pipe (`cc enumerate ... | head -1`): no error
+        # message, and stdout goes to devnull so the interpreter's last flush
+        # of the buffered output raises nothing at exit
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (Graph6ParseError, CapabilityError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

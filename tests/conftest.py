@@ -11,8 +11,8 @@ from hypothesis import strategies as st
 from ccmax import Graph, from_edges, g_kl, is_connected
 
 
-# The slowest tests take 6-10 s on a 2-core host: the labelled-count check
-# of subcubic-connected n=12 and the T23 n=12 golden.
+# The slowest test takes about 4 s on a 2-core host: the labelled-count
+# check of subcubic-connected n=12.
 TIME_LIMIT_S = 30
 
 

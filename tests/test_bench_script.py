@@ -1,4 +1,5 @@
-"""The summary statistics and the failure handling of scripts/bench.py."""
+"""The summary statistics, the failure handling and the working-tree export
+of scripts/bench.py."""
 
 import importlib.util
 import json
@@ -75,7 +76,7 @@ def fake_runs(bench, monkeypatch, fails):
     runs = []
 
     def perfbench(tree, workload, seed, seconds, trace):
-        side = "head" if tree == bench.ROOT else "base"
+        side = tree.name
         runs.append((workload, side, trace))
         if fails(side, trace):
             proc = subprocess.CompletedProcess(
@@ -86,7 +87,7 @@ def fake_runs(bench, monkeypatch, fails):
 
     monkeypatch.setattr(bench, "perfbench", perfbench)
     monkeypatch.setattr(bench, "export", lambda rev, dest: None)
-    monkeypatch.setattr(bench, "git", lambda *args: "abc")
+    monkeypatch.setattr(bench, "git", lambda *args, **kwargs: "abc")
     return runs
 
 
@@ -135,21 +136,26 @@ def test_layer_medians(bench):
     assert bench.layer_medians([passes[0], failed, passes[1]]) == failed
 
 
-def fake_subprocess(bench, monkeypatch, times_out):
-    """Replace git, the export and the perfbench process; `times_out(side,
-    trace)` says which runs time out, after writing one line."""
+def time_out(cmd, timeout):
+    raise subprocess.TimeoutExpired(cmd, timeout, output=b"partial\n")
+
+
+def fake_subprocess(bench, monkeypatch, fails, failure=time_out):
+    """Replace git, the export and the perfbench process; `fails(side,
+    trace)` says which runs fail, and `failure(cmd, timeout)` is what such
+    a run returns or raises (by default it times out after writing one
+    line)."""
     declared = json.loads((SCRIPT.parent.parent / "BENCHMARK.json").read_text())["end_to_end"]
     result = {"correct": True, "metrics": {m["name"]: {"value": 1.0} for m in declared}}
 
     def run(cmd, cwd, timeout, **kwargs):
-        side = "head" if cwd == bench.ROOT else "base"
-        if times_out(side, int(cmd[cmd.index("--trace") + 1])):
-            raise subprocess.TimeoutExpired(cmd, timeout, output=b"partial\n")
+        if fails(Path(cwd).name, int(cmd[cmd.index("--trace") + 1])):
+            return failure(cmd, timeout)
         return subprocess.CompletedProcess(cmd, 0, stdout=json.dumps(result) + "\n", stderr="")
 
     monkeypatch.setattr(bench.subprocess, "run", run)
     monkeypatch.setattr(bench, "export", lambda rev, dest: None)
-    monkeypatch.setattr(bench, "git", lambda *args: "abc")
+    monkeypatch.setattr(bench, "git", lambda *args, **kwargs: "abc")
 
 
 TIMED_OUT = {"returncode": None, "tail": ["partial", "timed out after 600 s"]}
@@ -178,3 +184,62 @@ def test_a_timed_out_end_to_end_run_stops_the_comparison(bench, monkeypatch, tmp
     with pytest.raises(bench.RunFailed):
         bench.main(["--base", "x", "--workload", "w1", "--out", str(out)])
     assert not out.exists()
+
+
+def print_a_stray_line(cmd, timeout):
+    return subprocess.CompletedProcess(cmd, 0, stdout="progress\n", stderr="")
+
+
+def test_a_stray_last_line_is_a_failed_run(bench, monkeypatch, tmp_path):
+    stray = {"returncode": 0, "tail": ["progress"]}
+    fake_subprocess(bench, monkeypatch, lambda side, trace: True, print_a_stray_line)
+    with pytest.raises(bench.RunFailed) as err:
+        bench.perfbench(Path("elsewhere"), "w1", 1, 1, 0)
+    assert err.value.record == stray
+
+    out = tmp_path / "bench.json"
+    argv = ["--base", "x", "--workload", "w1", "--pairs", "2", "--out", str(out)]
+    fake_subprocess(bench, monkeypatch, lambda side, trace: trace == 1, print_a_stray_line)
+    assert bench.main(argv) == 1
+    entry = json.loads(out.read_text())["workloads"]["w1"]
+    assert len(entry["pairs"]) == 2
+    assert entry["per_layer"]["head"] == {"failed": stray}
+
+    out.unlink()
+    fake_subprocess(bench, monkeypatch, lambda side, trace: trace == 0, print_a_stray_line)
+    with pytest.raises(bench.RunFailed):
+        bench.main(argv)
+    assert not out.exists()
+
+
+def test_the_head_export_is_the_working_tree(bench, monkeypatch, tmp_path):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(
+            ["git", "-c", "user.name=t", "-c", "user.email=t@t", *args],
+            cwd=repo, check=True, capture_output=True, text=True,
+        ).stdout
+
+    git("init", "-q")
+    (repo / ".gitignore").write_text("ignored.txt\n")
+    (repo / "kept.txt").write_text("old\n")
+    (repo / "gone.txt").write_text("gone\n")
+    git("add", "-A")
+    git("commit", "-q", "-m", "start")
+    monkeypatch.setattr(bench, "ROOT", repo)
+    # a clean tree is HEAD's, which is how the report tells uncommitted changes
+    assert bench.worktree(tmp_path / "clean-index") == git("rev-parse", "HEAD^{tree}").strip()
+
+    (repo / "kept.txt").write_text("new\n")
+    (repo / "gone.txt").unlink()
+    (repo / "untracked.txt").write_text("untracked\n")
+    (repo / "ignored.txt").write_text("ignored\n")
+    status = git("status", "--porcelain")
+    assert status == " D gone.txt\n M kept.txt\n?? untracked.txt\n"
+    head = tmp_path / "head"
+    bench.export(bench.worktree(tmp_path / "index"), head)
+    assert sorted(p.name for p in head.iterdir()) == [".gitignore", "kept.txt", "untracked.txt"]
+    assert (head / "kept.txt").read_text() == "new\n"
+    assert git("status", "--porcelain") == status

@@ -2,6 +2,10 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +316,21 @@ class TestVerify:
         with pytest.raises(SystemExit):
             main(argv)
         capsys.readouterr()
+
+
+def test_a_closed_output_pipe_is_no_error(tmp_path):
+    # more output than a pipe holds, so the command writes after the reader
+    # has gone
+    graphs = tmp_path / "graphs.g6"
+    graphs.write_text("Bw\n" * 20000)
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "ccmax.cli", "compute", str(graphs)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"Bw 1/1 1\n"
+    proc.stdout.close()
+    assert proc.wait(timeout=20) == 1
+    assert proc.stderr.read() == b""
+    proc.stderr.close()

@@ -20,7 +20,7 @@ from ccmax.harness import SWEEP
 
 GOLDEN = Path(__file__).parent / "golden"
 
-# The slowest cell, T23 n=12, takes 6-8 s at 1 worker on a 2-core host
+# The slowest cell, T23 n=12, takes about 2 s at 1 worker on a 2-core host
 # (19,430 graphs), within the 30 s per-test limit.
 @pytest.mark.parametrize("name,run", [pytest.param(name, run, id=name) for name, run in SWEEP])
 def test_report_bytes(name, run):
