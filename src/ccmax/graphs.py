@@ -25,15 +25,24 @@ class CapabilityError(RuntimeError):
 
 
 class Graph:
-    """Immutable simple undirected graph on vertices 0..n-1."""
+    """Immutable simple undirected graph on vertices 0..n-1.
 
-    __slots__ = ("n", "_masks")
+    A graph keeps its derived block structure: ccmax.structure stores the
+    block decomposition and its classification on the graph the first time
+    it computes them, so every later structure query on the same object
+    reads them back. Equality, hashing and repr see only n and the edges.
+    """
+
+    __slots__ = ("n", "_masks", "_blocks", "_structure")
 
     def __init__(self, n: int, masks: Sequence[int]):
         # Internal constructor: `masks` must already be a valid symmetric,
         # loop-free adjacency; use from_edges() to build from edge lists.
         self.n = n
         self._masks = tuple(masks)
+        # set by structure.blocks and structure._structure
+        self._blocks = None
+        self._structure = None
 
     # -- basic views -------------------------------------------------------
 
@@ -57,11 +66,14 @@ class Graph:
 
     def edges(self) -> list[tuple[int, int]]:
         """All edges (u, v) with u < v, lexicographically sorted."""
+        # an inline bit walk, not _bits, as in _edges_in
         out = []
-        for u in range(self.n):
-            rest = self._masks[u] >> (u + 1)
-            for v in _bits(rest):
-                out.append((u, u + 1 + v))
+        for u, mask in enumerate(self._masks):
+            rest = mask >> (u + 1)
+            while rest:
+                low = rest & -rest
+                out.append((u, u + low.bit_length()))
+                rest ^= low
         return out
 
     @property

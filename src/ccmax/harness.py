@@ -39,7 +39,7 @@ from .graphs import (
     canonical_graph,
     to_graph6,
 )
-from .structure import claim_checks, is_in_b, is_in_b_literal, s_set
+from .structure import claim_checks, is_in_b, is_in_b_literal
 
 
 @dataclass(frozen=True)
@@ -216,18 +216,15 @@ def verify_theorem23(n: int, workers: int = 1) -> TheoremReport:
     graphs = enumerate_graphs(
         n, DegreeConstraint.max_degree(3, connected=True), workers, canonical=False
     )
-    # B is literal B with S empty, so a graph past the triangle gate is
-    # decomposed once: by is_in_b if S is empty, else by is_in_b_literal.
-    # labels then holds exactly the literal-B members.
     labels = {}
     b_members = []
     for i, g in enumerate(graphs):
-        if _cycles_are_triangles(g):
-            s_empty = not s_set(g)
-            if is_in_b(g) if s_empty else is_in_b_literal(g):
-                g6 = _label(graphs, labels, i)[0]
-                if s_empty:
-                    b_members.append(g6)
+        if _cycles_are_triangles(g) and is_in_b_literal(g):
+            g6 = _label(graphs, labels, i)[0]
+            # B is literal B with S empty: is_in_b reads the structure
+            # that is_in_b_literal kept on g and adds only the S test
+            if is_in_b(g):
+                b_members.append(g6)
     b_members.sort()
     details = {
         "b_members": b_members,

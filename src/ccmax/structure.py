@@ -43,7 +43,12 @@ class BlockDecomposition:
 def blocks(g: Graph) -> BlockDecomposition:
     """Biconnected components of a connected graph (Hopcroft-Tarjan), by one
     iterative DFS over the adjacency masks from vertex 0. A cut vertex is a
-    vertex that lies in two or more blocks."""
+    vertex that lies in two or more blocks.
+
+    The decomposition is kept on g, so each Graph object is decomposed once;
+    a disconnected graph keeps nothing and raises on every call."""
+    if g._blocks is not None:
+        return g._blocks
     if g.n == 0:
         return BlockDecomposition((), frozenset())
     num = [0] * g.n  # DFS preorder index, 1-based; 0 = unvisited
@@ -79,7 +84,8 @@ def blocks(g: Graph) -> BlockDecomposition:
     if count < g.n:
         raise ValueError("block decomposition requires a connected graph")
     lies_in = Counter(v for b in out for v in b)
-    return BlockDecomposition(tuple(out), frozenset(v for v, k in lies_in.items() if k > 1))
+    g._blocks = BlockDecomposition(tuple(out), frozenset(v for v, k in lies_in.items() if k > 1))
+    return g._blocks
 
 
 # block kind by (vertices, edges); a block on two vertices is a bridge
@@ -90,17 +96,23 @@ def _kind(g: Graph, block: tuple[int, ...]) -> BlockKind:
     return _KINDS.get((len(block), edges_within(g, block)), BlockKind.OTHER)
 
 
-def classify_block(g: Graph, block) -> BlockKind:
-    """K2/K3/diamond classification of one block of g."""
-    return classify_block_in(g, blocks(g), block)
-
-
-def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
-    """classify_block without recomputing the decomposition."""
+def _index(dec: BlockDecomposition, block) -> int:
     verts = tuple(sorted(block))
     if verts not in dec.blocks:
         raise ValueError(f"{verts} is not a block of the graph")
-    return _kind(g, verts)
+    return dec.blocks.index(verts)
+
+
+def classify_block(g: Graph, block) -> BlockKind:
+    """K2/K3/diamond classification of one block of g, read from the
+    classification of every block that g keeps."""
+    st = _structure(g)
+    return st.kinds[_index(st.dec, block)]
+
+
+def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
+    """Classification of one block of a given decomposition of g."""
+    return _kind(g, dec.blocks[_index(dec, block)])
 
 
 @dataclass(frozen=True)
@@ -151,6 +163,9 @@ class _Structure(NamedTuple):
 
 
 def _structure(g: Graph) -> _Structure:
+    # kept on g like its decomposition: one record per Graph object
+    if g._structure is not None:
+        return g._structure
     dec = blocks(g)
     kinds = tuple([_kind(g, b) for b in dec.blocks])
     diamonds = [b for b, kind in zip(dec.blocks, kinds) if kind is BlockKind.DIAMOND]
@@ -163,7 +178,8 @@ def _structure(g: Graph) -> _Structure:
     if g.n >= 6:
         in_b0 = legal and diamonds_are_endblocks and all(g.degree(u) <= 3 for u in range(g.n))
         in_b_literal = in_b0 and t.as_tuple() in LEGAL_TYPES
-    return _Structure(dec, kinds, t, diamonds_are_endblocks, in_b0, in_b_literal)
+    g._structure = _Structure(dec, kinds, t, diamonds_are_endblocks, in_b0, in_b_literal)
+    return g._structure
 
 
 def graph_type(g: Graph) -> GraphType:

@@ -142,16 +142,19 @@ class TestTriangleGate:
             assert harness._cycles_are_triangles(g) == (name == "path(6)")
 
     def test_one_decomposition_per_gated_graph(self, monkeypatch):
-        # B is literal B with S empty, so a graph past the gate is decomposed
-        # once, by is_in_b or by is_in_b_literal, and each maximizer once
-        # more by claim_checks: 343 blocks calls over n = 6..10, where
-        # testing both predicates on each literal member made 624.
+        # a graph keeps its decomposition, so each graph past the gate is
+        # decomposed once by is_in_b_literal, and is_in_b and the
+        # maximizers' claim_checks read it back: 338 blocks calls over
+        # n = 6..10, one per gated graph (343 while claim_checks decomposed
+        # each maximizer again, 624 while is_in_b did so for each literal
+        # member)
         calls = []
         blocks = structure.blocks
         monkeypatch.setattr(structure, "blocks", lambda g: calls.append(g) or blocks(g))
         for n in range(6, 11):
             verify_theorem23(n)
-        assert len(calls) == 343
+        assert len(calls) == 338
+        assert len({id(g) for g in calls}) == len(calls)  # no graph twice
 
 
 class TestTheorem4:

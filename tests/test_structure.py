@@ -7,9 +7,11 @@ from hypothesis import given, settings
 
 from ccmax import (
     BlockKind,
+    Graph,
     blocks,
     classify_block,
     claim_checks,
+    family_b,
     from_edges,
     g_kl,
     graph_cc,
@@ -19,9 +21,11 @@ from ccmax import (
     is_in_b_literal,
     named,
     s_set,
+    standard_skeleton,
     v_partition,
     LEGAL_TYPES,
 )
+from ccmax import structure
 from conftest import brute_blocks, connected_graphs
 
 
@@ -276,3 +280,99 @@ class TestClaimChecks:
         checks = claim_checks(g)
         assert checks["diamonds_are_endblocks"]
         assert not checks["at_most_two_diamonds"]
+
+
+# connected graphs of order >= 6, one for each way through the membership tests
+KEPT = {
+    "in B": two_triangles_bridge(),
+    "literal B, S not empty": from_edges(
+        7, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 6), (6, 3)]
+    ),
+    "diamond endblock": family_b(standard_skeleton((1, 0, 0), 0)),
+    "two diamonds": family_b(standard_skeleton((2, 0, 0), 0)),
+    "inner triangles": family_b(standard_skeleton((0, 1, 1), 0)),
+    "inner diamond": from_edges(
+        10,
+        [(0, 1), (0, 2), (1, 2), (2, 3), (3, 4), (3, 5), (4, 5), (4, 6), (5, 6)]
+        + [(6, 7), (7, 8), (7, 9), (8, 9)],
+    ),
+    "cubic, other blocks": g_kl(3, 2),
+    "degree above 3": from_edges(
+        6, [(i, j) for i in range(5) for j in range(i + 1, 5) if (i, j) != (3, 4)] + [(3, 5)]
+    ),
+    "cycle": named("cycle(7)"),
+}
+
+
+def _classify(g: Graph, copy: bool) -> tuple:
+    # the structure queries of a g6_stream item in perfbench/run.py, in its
+    # order; with copy, each query gets a new Graph equal to g
+    h = (lambda: Graph(g.n, g._masks)) if copy else (lambda: g)
+    dec = blocks(h())
+    t = graph_type(h())
+    return (
+        dec,
+        [structure.classify_block_in(h(), dec, b) for b in dec.blocks],
+        t.as_tuple(),
+        t.blocks_legal,
+        s_set(h()),
+        is_in_b0(h()),
+        is_in_b(h()),
+        is_in_b_literal(h()),
+        claim_checks(h()),
+    )
+
+
+class TestKeptStructure:
+    """A Graph keeps its decomposition and block kinds: one DFS per object."""
+
+    def _counting(self, monkeypatch, name: str) -> list:
+        calls = []
+        real = getattr(structure, name)
+        monkeypatch.setattr(structure, name, lambda *a: calls.append(a) or real(*a))
+        return calls
+
+    @pytest.mark.parametrize("name", KEPT)
+    def test_one_dfs_per_graph(self, name, monkeypatch):
+        g = Graph(KEPT[name].n, KEPT[name]._masks)
+        made = self._counting(monkeypatch, "BlockDecomposition")
+        got = _classify(g, copy=False)
+        again = _classify(g, copy=False)
+        assert len(made) == 1
+        monkeypatch.undo()
+        assert got == again == _classify(g, copy=True)
+
+    @pytest.mark.parametrize("name", KEPT)
+    def test_each_block_classified_once(self, name, monkeypatch):
+        g = Graph(KEPT[name].n, KEPT[name]._masks)
+        kinds = self._counting(monkeypatch, "_kind")
+        dec = blocks(g)
+        for b in dec.blocks:
+            classify_block(g, b)
+        for query in (graph_type, is_in_b0, is_in_b, is_in_b_literal, claim_checks):
+            query(g)
+        for b in dec.blocks:
+            classify_block(g, b)
+        assert sorted(b for _, b in kinds) == sorted(dec.blocks)
+
+    def test_kept_structure_is_invisible(self):
+        g = Graph(KEPT["in B"].n, KEPT["in B"]._masks)
+        plain = Graph(g.n, g._masks)
+        claim_checks(g)
+        assert g._blocks is not None and g._structure is not None
+        assert plain._blocks is None and plain._structure is None  # equal, not shared
+        assert g == plain and hash(g) == hash(plain) and repr(g) == repr(plain)
+        assert {g: 1}[plain] == 1
+
+    def test_disconnected_raises_on_every_call(self):
+        g = from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)])
+        for query in (blocks, graph_type, claim_checks, is_in_b0, is_in_b, is_in_b_literal):
+            errors = []
+            for _ in range(2):
+                with pytest.raises(ValueError) as exc:
+                    query(g)
+                errors.append(str(exc.value))
+            assert errors[0] == errors[1], query.__name__
+        with pytest.raises(ValueError):
+            classify_block(g, (0, 1, 2))
+        assert g._blocks is None and g._structure is None
