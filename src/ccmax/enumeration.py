@@ -103,7 +103,6 @@ from .graphs import (
     Graph,
     _canon_masks,
     _image,
-    _is_int,
     _need_int,
     _orbit,
     _spans,
@@ -131,8 +130,8 @@ class DegreeConstraint:
         if self.mode == MODE_ANY:
             if self.bound is not None:
                 raise ValueError("mode 'any' takes no bound")
-        elif not _is_int(self.bound) or self.bound < 0:
-            raise ValueError(f"mode {self.mode!r} needs an int bound >= 0, got {self.bound!r}")
+        else:
+            _need_int("bound", self.bound, 0)
         if not isinstance(self.connected, bool):
             raise ValueError(f"connected must be a bool, got {self.connected!r}")
 

@@ -54,8 +54,8 @@ def complete_minus_edge(q: int) -> Graph:
 
 def complete_bipartite(a: int, b: int) -> Graph:
     """K_{a,b} with the size-a part labeled 0..a-1."""
-    if not (_is_int(a) and _is_int(b)) or a < 1 or b < 1:
-        raise ValueError(f"need int parts a, b >= 1, got {a!r}, {b!r}")
+    _need_int("a", a, 1)
+    _need_int("b", b, 1)
     return from_edges(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 

@@ -33,7 +33,7 @@ from .graphs import (
     Graph,
     _canon_masks,
     _edges_in,
-    _is_int,
+    _need_int,
     _non_edges,
     canonical_form,
     canonical_graph,
@@ -185,8 +185,7 @@ def verify_theorem1(k: int, n: int, workers: int = 1) -> TheoremReport:
     divides n, and then only at G(k, n/(k+1)).
     """
     bound = theorem1_bound(k)
-    if not _is_int(n) or n < k + 2:
-        raise ValueError(f"need an int n >= k + 2, got n={n!r}")
+    _need_int("n", n, k + 2)
     if n * k % 2:
         raise ValueError(f"need n*k even (no {k}-regular graph has odd order), got n={n}")
     graphs = enumerate_graphs(

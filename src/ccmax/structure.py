@@ -111,8 +111,10 @@ def classify_block(g: Graph, block) -> BlockKind:
 
 
 def classify_block_in(g: Graph, dec: BlockDecomposition, block) -> BlockKind:
-    """Classification of one block of a given decomposition of g."""
-    return _kind(g, dec.blocks[_index(dec, block)])
+    """Classification of one block of a given decomposition of g, read from
+    the block kinds g keeps."""
+    _index(dec, block)
+    return classify_block(g, block)
 
 
 @dataclass(frozen=True)
@@ -209,23 +211,21 @@ def v_partition(g: Graph, k: int) -> dict[int, frozenset[int]]:
     return {i: frozenset(vs) for i, vs in sorted(parts.items())}
 
 
-def _b_structure(g: Graph) -> _Structure | None:
-    """_structure(g) for a membership test; None, with no decomposition,
-    when a degree above 3 rules out B0."""
+def _b_structure(g: Graph) -> _Structure:
+    """_structure(g) for a membership test, after the order and connectivity
+    checks; a graph that keeps its decomposition is connected, as failures
+    are never kept."""
     if g.n < 6:
         raise ValueError(f"family membership needs order >= 6, got {g.n}")
-    if not is_connected(g):
+    if g._blocks is None and not is_connected(g):
         raise ValueError("family membership needs a connected graph")
-    if any(g.degree(u) > 3 for u in range(g.n)):
-        return None
     return _structure(g)
 
 
 def is_in_b0(g: Graph) -> bool:
     """Connected, order >= 6, max degree <= 3, every block K2/K3/diamond,
     and every diamond block an endblock."""
-    st = _b_structure(g)
-    return st is not None and st.in_b0
+    return _b_structure(g).in_b0
 
 
 def is_in_b(g: Graph) -> bool:
@@ -236,14 +236,12 @@ def is_in_b(g: Graph) -> bool:
     but fall below the extremal value. is_in_b_literal gives the type-only
     reading for diagnostics.
     """
-    st = _b_structure(g)
-    return st is not None and st.in_b(s_set(g))
+    return _b_structure(g).in_b(s_set(g))
 
 
 def is_in_b_literal(g: Graph) -> bool:
     """B0 membership plus the type list, without the S = empty requirement."""
-    st = _b_structure(g)
-    return st is not None and st.in_b_literal
+    return _b_structure(g).in_b_literal
 
 
 def claim_checks(g: Graph) -> dict[str, bool]:

@@ -102,9 +102,9 @@ class TestCompleteBipartite:
     def test_domain(self):
         with pytest.raises(ValueError):
             complete_bipartite(0, 3)
-        with pytest.raises(ValueError, match="int parts a, b"):
+        with pytest.raises(ValueError, match="int b >= 1"):
             complete_bipartite(2, 2.0)
-        with pytest.raises(ValueError, match="int parts a, b"):
+        with pytest.raises(ValueError, match="int a >= 1"):
             complete_bipartite(True, 2)
 
 

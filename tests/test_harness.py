@@ -68,7 +68,7 @@ class TestTheorem1:
             verify_theorem1(5, 7)
         with pytest.raises(ValueError, match="int k"):
             verify_theorem1(3.0, 8)
-        with pytest.raises(ValueError, match=r"int n >= k \+ 2"):
+        with pytest.raises(ValueError, match="int n >= 5"):
             verify_theorem1(3, 8.0)
 
 

@@ -353,7 +353,29 @@ class TestKeptStructure:
             query(g)
         for b in dec.blocks:
             classify_block(g, b)
+            structure.classify_block_in(g, dec, b)
         assert sorted(b for _, b in kinds) == sorted(dec.blocks)
+
+    @pytest.mark.parametrize("name", KEPT)
+    def test_membership_reads_the_kept_record(self, name, monkeypatch):
+        membership = (is_in_b0, is_in_b, is_in_b_literal)
+        g = Graph(KEPT[name].n, KEPT[name]._masks)
+        checked = self._counting(monkeypatch, "is_connected")
+        blocks(g)
+        for query in membership:
+            query(g)
+        assert checked == []  # a graph that keeps its blocks is connected
+        fresh = Graph(g.n, g._masks)
+        for query in membership:
+            query(fresh)
+        assert len(checked) == 1
+
+    def test_membership_errors_in_order(self):
+        # order first, then connectivity
+        with pytest.raises(ValueError, match="order >= 6, got 5"):
+            is_in_b0(from_edges(5, [(0, 1), (0, 2), (1, 2)]))
+        with pytest.raises(ValueError, match="connected graph"):
+            is_in_b0(from_edges(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5)]))
 
     def test_kept_structure_is_invisible(self):
         g = Graph(KEPT["in B"].n, KEPT["in B"]._masks)
