@@ -14,8 +14,10 @@ included, took 4.0-5.2 s at 1 worker and 3.2-3.3 s at 2 (3 runs each; the
 host's speed swings by up to 2x). T23 n=12 is about half of it (2.1-2.9 s
 at 1 worker and 1.4-1.6 s at 2, mostly enumeration); T4 n=8 takes
 0.7-0.8 s, enumeration included, and T1 k=3 n=12 0.16-0.21 s.
---workers splits each large enumeration once across processes; it is
-capped at the CPUs this process may use.
+--workers splits each large enumeration once: the script's own process
+and workers - 1 forked children grow its shares, and every child is
+reaped before the enumeration returns. It is capped at the CPUs this
+process may use, and where os.fork is missing the work runs in process.
 """
 
 import argparse

@@ -77,26 +77,30 @@ their order do not change:
   and for the look-ahead, so the two never test different things.
 
 Work is split at most once, as in nauty's geng (res/mod). The number of
-workers is first capped at the CPUs this process may use, so one usable
-CPU never starts a pool. Levels grow serially until one has enough parents
-per worker. That level is dealt into several strided shares per worker,
-and the pool's workers take them one at a time and grow each to order n,
-so a worker that drew cheap parents takes more shares. A level of order
-n - 1 is shared out only when it is large, since a small one costs less to
-grow in process than a pool costs to start and stop. As every class has
-one parent, the classes do not depend on the split; canonically labelled,
-they are sorted once by canonical graph6, and unlabelled they come in the
-order the shares are grown.
+workers is first capped at the CPUs this process may use, and at 1 where
+os.fork is missing, so one usable CPU never forks. Levels grow serially
+until one has enough parents per worker. That level is dealt into several
+strided shares per worker. The caller forks workers - 1 children, and the
+caller and each child take the shares one at a time from one pipe and
+grow each to order n, so a process that drew cheap parents takes more
+shares. Every child is reaped before the call returns. A level of order
+n - 1 is shared out only when it is large, since a small one costs less
+CPU to grow in process than to fork for. As every class has one parent,
+the classes do not depend on the split; canonically labelled, they are
+sorted once by canonical graph6, and unlabelled they come share by share
+in the order the shares were dealt.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
 import os
+import pickle
+import signal
+import traceback
 from dataclasses import dataclass
-from itertools import combinations, repeat
+from itertools import combinations
 from operator import getitem
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .graphs import (
     CapabilityError,
@@ -446,9 +450,10 @@ def _grow(
 
 # A level is shared out once it has this many parents per worker, about
 # four per share: fewer give unevenly loaded shares, more keep more of the
-# work serial. From 8 to 32 the sweep's 14 enumerations at 2 workers on a
-# 2-core host took 0.83 to 0.92 s (medians of 10), within the host's noise;
-# 16 sits in the middle.
+# work serial. From 8 to 32 the sweep's 14 enumerations at 2 workers
+# (canonical=False) on a 2-core host took 0.34 to 0.37 s wall and 0.60 to
+# 0.61 s CPU, children included (medians of 10 alternating runs), within
+# the host's noise; 16 sits in the middle.
 _SPLIT = 16
 
 # The split level is dealt into this many strided shares per worker, one
@@ -460,21 +465,24 @@ _SPLIT = 16
 # (seed 1, --seconds 10):
 #
 #     shares per worker     2       4       8
-#     norm_item_p99_ms      1.89    1.59    1.56
-#     norm_wall_s           0.631   0.595   0.593
-#     norm_cpu_s            0.909   0.914   0.937
+#     norm_item_p99_ms      1.18    1.01    0.99
+#     norm_wall_s           0.397   0.372   0.357
+#     norm_cpu_s            0.549   0.561   0.547
+#
+# 4 and 8 are within the host's noise, and the deal fixes the order of the
+# unlabelled output at a given worker count, so it stays at 4.
 _SHARES = 4
 
 # A level of order n - 1 is shared out only from this many parents: it has
-# one step left, and a small one costs less to grow in process than a pool
-# costs to start and stop. On a 2-core host, 10 alternating runs each,
-# growing in process won every run at 34, 64 and 78 parents (any-degree
-# n=6 at 2 workers, 22 ms against 52 ms pooled; subcubic-connected n=8,
-# 41 against 69 ms; connected max-degree-4 n=7, 36 against 59 ms), broke
-# even at 112, 150 and 156, and lost at 1,044 (1.29 s against 0.94 s
-# pooled). The last two ran 2 processes with the deal of 3 and 10 workers
-# (12 and 40 shares), from before the worker count was capped at the
-# usable CPUs: any-degree n=7 split at order 6, and n=8 at order 7.
+# one step left, and a small one costs less CPU to grow in process than to
+# fork for. On a 2-core host at 2 workers, 10 alternating runs each, three
+# times, any-degree n=6 (34 parents) took 9-16 ms in process against
+# 11-15 ms forked, subcubic-connected n=8 (64) 18-32 ms against 17-28 ms,
+# and connected max-degree-4 n=7 (78) 21-36 ms against 18-29 ms: about even
+# in wall time, but 4-8 ms more CPU forked (medians). With no such floor,
+# perfbench sweep_w2 (seed 1, --seconds 10, 4 alternating runs) read
+# norm_cpu_s 0.571-0.611 s against 0.541-0.571 s and norm_wall_s
+# 0.370-0.393 s against 0.361-0.374 s.
 _LAST_SPLIT = 100
 
 
@@ -486,13 +494,106 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
+# A share index travels through the task pipe as a record of this many
+# bytes, far below PIPE_BUF (at least 512), so no two readers split one.
+_RECORD = 4
+
+
+def _take(tasks: int, shares: list, grow: Callable[[list], list]) -> list:
+    # (index, grown share) for each record read from the task pipe until it
+    # is empty; every record is written before any child starts, so an
+    # empty read is the end
+    out = []
+    while record := os.read(tasks, _RECORD):
+        i = int.from_bytes(record, "little")
+        out.append((i, grow(shares[i])))
+    return out
+
+
+def _work(tasks: int, reply: int, shares: list, grow: Callable[[list], list]) -> None:
+    # The body of a forked child: take shares until the task pipe is empty,
+    # then pickle the (index, grown share) pairs, or the exception that
+    # stopped it and its traceback, onto the reply pipe. It never returns:
+    # os._exit leaves on every path, a failed write included, with status 0
+    # only once the reply is written, and runs no handler of the caller's
+    # and flushes none of its buffers.
+    status = 1
+    try:
+        try:
+            data = pickle.dumps(_take(tasks, shares, grow))
+        except BaseException as exc:
+            data = pickle.dumps((exc, traceback.format_exc()))
+        with open(reply, "wb") as f:
+            f.write(data)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fan_out(shares: list, workers: int, grow: Callable[[list], list]) -> list:
+    # grow applied to each share, the results joined in index order. The
+    # caller and workers - 1 forked children take the share indices one at
+    # a time from one pipe, so a process that drew cheap shares takes more;
+    # each child sends its grown shares back on a pipe of its own. Every
+    # child is reaped before this returns or raises, so none outlives the
+    # call and RUSAGE_CHILDREN counts all of their work. A child's exception
+    # is raised again here, caused by its traceback in the child; a child
+    # that ends with no reply raises a RuntimeError. If the caller itself
+    # fails, the children are killed.
+    tasks, feed = os.pipe()
+    fds = [tasks]
+    running = []  # (pid, reply pipe) of the children not yet reaped
+    replies = []
+    try:
+        # Every record is written before anything reads the pipe, so all of
+        # them must fit in it: _level deals _SHARES = 4 shares per worker,
+        # 16 bytes, and a Linux pipe holds 64 KiB, or 4 KiB (256 workers)
+        # once the user's pipe quota is spent.
+        with open(feed, "wb") as f:
+            f.write(b"".join(i.to_bytes(_RECORD, "little") for i in range(len(shares))))
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            fds.append(r)
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _work(tasks, w, shares, grow)
+            finally:
+                os.close(w)
+            running.append((pid, r))
+        grown = dict(_take(tasks, shares, grow))
+        while running:
+            pid, r = running[0]
+            with open(r, "rb", closefd=False) as f:
+                data = f.read()
+            replies.append((pid, data, os.waitpid(pid, 0)[1]))
+            running.pop(0)
+    finally:
+        for fd in fds:
+            os.close(fd)
+        for pid, _ in running:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for pid, data, status in replies:
+        code = os.waitstatus_to_exitcode(status)
+        if code != 0:
+            raise RuntimeError(f"enumeration worker {pid} ended with status {code}")
+        reply = pickle.loads(data)
+        if isinstance(reply, tuple):
+            exc, text = reply
+            raise exc from RuntimeError(f"in enumeration worker {pid}:\n{text}")
+        grown.update(reply)
+    return [pair for i in range(len(shares)) for pair in grown[i]]
+
+
 def _level(n: int, c: DegreeConstraint, workers: int, canonical: bool) -> list:
     # the order-n level of (masks, ()) pairs, in no particular order; the
     # masks are canonical only with canonical
     _need_int("n", n, 1)
     _need_int("workers", workers, 1)
-    # at most one process per CPU, and the split reads the same number
-    workers = min(workers, _cpus())
+    # at most one process per CPU, and the split reads the same number; with
+    # no os.fork the work stays in this process
+    workers = min(workers, _cpus()) if hasattr(os, "fork") else 1
     limit = _capability_limit(c)
     if n > limit:
         raise CapabilityError(
@@ -509,13 +610,12 @@ def _level(n: int, c: DegreeConstraint, workers: int, canonical: bool) -> list:
         level = _grow(level, m, m + 1, n, c, canonical)
         m += 1
     if m < n:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            k = _SHARES * workers
-            shares = [level[i::k] for i in range(k)]
-            grown = pool.map(
-                _grow, shares, repeat(m), repeat(n), repeat(n), repeat(c), repeat(canonical)
-            )
-            level = [pair for share in grown for pair in share]
+        k = _SHARES * workers
+        level = _fan_out(
+            [level[i::k] for i in range(k)],
+            workers,
+            lambda share: _grow(share, m, n, n, c, canonical),
+        )
     return level
 
 

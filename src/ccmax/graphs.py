@@ -192,9 +192,10 @@ def _non_edges(masks: Sequence[int]) -> Iterator[tuple[int, int]]:
 
 
 def _spans(masks: Sequence[int], within: int) -> bool:
-    # whether the vertex mask `within` induces a connected graph (0 does)
+    # whether the vertex mask `within` induces a connected graph (0 does);
+    # it stops once every vertex is seen, a round before the frontier empties
     seen = frontier = within & -within
-    while frontier:
+    while frontier and seen != within:
         nxt = 0
         while frontier:
             low = frontier & -frontier

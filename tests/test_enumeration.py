@@ -1,6 +1,5 @@
 """Isomorph-free enumeration against published counts and brute force."""
 
-import concurrent.futures
 import os
 import random
 from itertools import combinations
@@ -39,33 +38,30 @@ SUBCUBIC_CONNECTED = {6: 29, 7: 64, 8: 194, 9: 531, 10: 1733}
 
 
 def fake_pool(monkeypatch, cpus):
-    """Replace the process pool by an in-process executor on a machine with
-    cpus usable CPUs, so no process starts. Returns two lists it appends
-    to: the max_workers of each construction, and the shares of each map.
-    Every share must hold plain (masks, generators) tuple pairs."""
+    """Replace the fan-out by an in-process one on a machine with cpus
+    usable CPUs, so no process starts. Returns two lists it appends to: the
+    worker count of each fan-out, and the shares it dealt. Every share must
+    hold plain (masks, generators) tuple pairs."""
     started, dealt = [], []
 
-    class FakeExecutor:
-        def __init__(self, max_workers):
-            started.append(max_workers)
+    def fan_out(shares, workers, grow):
+        for share in shares:
+            assert all(plain_pair(entry) for entry in share)
+        started.append(workers)
+        dealt.append(shares)
+        return [pair for share in shares for pair in grow(share)]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, shares, *rest):
-            shares = list(shares)
-            for share in shares:
-                assert all(plain_pair(entry) for entry in share)
-            dealt.append(shares)
-            return map(fn, shares, *rest)
-
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakeExecutor)
+    monkeypatch.setattr(enumeration, "_fan_out", fan_out)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpus)
     return started, dealt
+
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+
+
+def fail_share():
+    raise ValueError("share failed")
 
 
 def plain_pair(entry):
@@ -580,7 +576,7 @@ def test_unlabelled_classes_equal_default(monkeypatch, n, c, pooled):
     # With canonical=False every class still comes out once, some of them
     # not canonically labelled; sorted by canonical graph6 they are the
     # default output. Pooled, each case splits at 2 workers, so the grown
-    # graphs come back through the pool's map, which must carry the flag.
+    # graphs come back through the fan-out, which must carry the flag.
     want = [to_graph6(g) for g in enumerate_graphs(n, c)]
     workers = 1
     if pooled:
@@ -628,7 +624,7 @@ class TestOutputProperties:
         par = [to_graph6(g) for g in enumerate_graphs(9, c, workers=workers)]
         assert par == seq
         # workers is capped at the 2 CPUs first, so both split as 2 workers
-        # do: one pool, at the 64 parents of order 7
+        # do: one fan-out, at the 64 parents of order 7
         assert started == [2]
 
     def test_one_cpu_starts_no_pool(self, monkeypatch):
@@ -724,6 +720,86 @@ class TestOutputProperties:
         for workers in (2, 3):
             assert [g._masks for g in enumerate_graphs(12, c, workers=workers)] == want
         assert len(want) == count(12, c, workers=2) == CONNECTED_CUBIC[12]
+
+    @needs_fork
+    def test_real_fan_out_forks_workers_minus_one(self, monkeypatch):
+        # 3 workers on 2 usable CPUs: one child per split, and the caller
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(os.getpid())
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        c = DegreeConstraint.max_degree(3, connected=True)
+        want = [g._masks for g in enumerate_graphs(9, c, workers=1)]
+        assert forks == []
+        assert [g._masks for g in enumerate_graphs(9, c, workers=3)] == want
+        assert forks == [os.getpid()]
+
+    def test_no_fork_runs_in_process(self, monkeypatch):
+        started, dealt = fake_pool(monkeypatch, 2)
+        monkeypatch.delattr(os, "fork", raising=False)
+        c = DegreeConstraint.max_degree(3, connected=True)
+        want = [g._masks for g in enum_reference.enumerate_graphs(9, c)]
+        assert [g._masks for g in enumerate_graphs(9, c, workers=2)] == want
+        assert started == dealt == []
+
+    @needs_fork
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts /proc/self/fd")
+    @pytest.mark.parametrize(
+        "in_child,fault,error,match",
+        [
+            (True, fail_share, ValueError, "share failed"),
+            (True, lambda: os._exit(3), RuntimeError, "status 3"),
+            (False, fail_share, ValueError, "share failed"),
+        ],
+        ids=["child-raises", "child-exits", "caller-raises"],
+    )
+    def test_failed_share_reaps_every_child(self, monkeypatch, in_child, fault, error, match):
+        # Real forks: subcubic-connected n=9 at 2 workers on 2 usable CPUs
+        # forks one child, which takes at least one of the 8 shares, as the
+        # caller waits on its first share until the child has taken one. A
+        # failure on either side surfaces in the caller, which leaves no
+        # child and no open pipe behind.
+        open_fds = len(os.listdir("/proc/self/fd"))
+        caller = os.getpid()
+        took, tell = os.pipe()
+        fan_out = enumeration._fan_out
+
+        def faulty_fan_out(shares, workers, grow):
+            first = []
+
+            def grow_or_fail(share):
+                child = os.getpid() != caller
+                if not first:
+                    first.append(share)
+                    if child:
+                        os.write(tell, b".")
+                    else:
+                        os.read(took, 1)
+                    if child == in_child:
+                        fault()
+                return grow(share)
+
+            return fan_out(shares, workers, grow_or_fail)
+
+        monkeypatch.setattr(enumeration, "_fan_out", faulty_fan_out)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        try:
+            with pytest.raises(error, match=match) as raised:
+                enumerate_graphs(9, DegreeConstraint.max_degree(3, connected=True), workers=2)
+        finally:
+            os.close(took)
+            os.close(tell)
+        if in_child and error is ValueError:
+            # the child's traceback comes along as the cause
+            assert "in fail_share" in str(raised.value.__cause__)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert len(os.listdir("/proc/self/fd")) == open_fds
 
     @settings(max_examples=20, deadline=None)
     @given(st.integers(1, 6), st.booleans())
